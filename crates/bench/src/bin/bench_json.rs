@@ -349,7 +349,7 @@ fn measure(quick: bool) -> BenchDoc {
     }
 
     // Incremental (ECO) placement (PR 8), full mode only: drop one
-    // Eagle coupler and warm-start `replace_with` from the cold layout.
+    // Eagle coupler and warm-start `execute_replace` from the cold layout.
     // The cold paper-config placement happens OUTSIDE the timed region —
     // per-op is the incremental re-place alone, the latency a topology
     // edit costs once a prior result exists. The contract this kernel

@@ -202,10 +202,8 @@ pub struct Qplacer {
     config: PipelineConfig,
 }
 
-/// Options for [`Qplacer::execute`] and [`Qplacer::execute_replace`] —
-/// the single entry points that replaced the `place` / `place_with` /
-/// `place_traced` and `replace` / `replace_with` / `replace_traced`
-/// method families. `Default` is an untraced run with an internal
+/// Options for [`Qplacer::execute`] and [`Qplacer::execute_replace`],
+/// the pipeline's two entry points. `Default` is an untraced run with an internal
 /// scratch workspace under the ambient trace context; each field opts
 /// into one capability independently.
 #[derive(Default)]
@@ -286,53 +284,6 @@ impl Qplacer {
         };
         let mut null = NullTraceSink;
         self.place_core(device, strategy, ws, sink.unwrap_or(&mut null))
-    }
-
-    /// Untraced run with an internal workspace.
-    #[deprecated(note = "use `execute` with `ExecOptions::default()`")]
-    #[must_use]
-    pub fn place(&self, device: &Topology, strategy: Strategy) -> PlacedLayout {
-        self.execute(device, strategy, ExecOptions::default())
-    }
-
-    /// Untraced run reusing a caller-owned workspace.
-    #[deprecated(note = "use `execute` with `ExecOptions { workspace, .. }`")]
-    #[must_use]
-    pub fn place_with(
-        &self,
-        device: &Topology,
-        strategy: Strategy,
-        ws: &mut PipelineWorkspace,
-    ) -> PlacedLayout {
-        self.execute(
-            device,
-            strategy,
-            ExecOptions {
-                workspace: Some(ws),
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Run with a convergence-telemetry sink.
-    #[deprecated(note = "use `execute` with `ExecOptions { workspace, sink, .. }`")]
-    #[must_use]
-    pub fn place_traced(
-        &self,
-        device: &Topology,
-        strategy: Strategy,
-        ws: &mut PipelineWorkspace,
-        sink: &mut dyn TraceSink,
-    ) -> PlacedLayout {
-        self.execute(
-            device,
-            strategy,
-            ExecOptions {
-                workspace: Some(ws),
-                sink: Some(sink),
-                trace_id: None,
-            },
-        )
     }
 
     pub(crate) fn place_core(

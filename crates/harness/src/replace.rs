@@ -103,71 +103,6 @@ impl Qplacer {
         self.replace_core(base, prev, delta, ws, sink.unwrap_or(&mut null))
     }
 
-    /// Untraced incremental run with an internal workspace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError`] when `delta` does not apply to `base`.
-    #[deprecated(note = "use `execute_replace` with `ExecOptions::default()`")]
-    pub fn replace(
-        &self,
-        base: &Topology,
-        prev: &PlacedLayout,
-        delta: &TopologyDelta,
-    ) -> Result<(PlacedLayout, ReplaceReport), TopologyError> {
-        self.execute_replace(base, prev, delta, ExecOptions::default())
-    }
-
-    /// Untraced incremental run reusing a caller-owned workspace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError`] when `delta` does not apply to `base`.
-    #[deprecated(note = "use `execute_replace` with `ExecOptions { workspace, .. }`")]
-    pub fn replace_with(
-        &self,
-        base: &Topology,
-        prev: &PlacedLayout,
-        delta: &TopologyDelta,
-        ws: &mut PipelineWorkspace,
-    ) -> Result<(PlacedLayout, ReplaceReport), TopologyError> {
-        self.execute_replace(
-            base,
-            prev,
-            delta,
-            ExecOptions {
-                workspace: Some(ws),
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Incremental run with a convergence-telemetry sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError`] when `delta` does not apply to `base`.
-    #[deprecated(note = "use `execute_replace` with `ExecOptions { workspace, sink, .. }`")]
-    pub fn replace_traced(
-        &self,
-        base: &Topology,
-        prev: &PlacedLayout,
-        delta: &TopologyDelta,
-        ws: &mut PipelineWorkspace,
-        sink: &mut dyn TraceSink,
-    ) -> Result<(PlacedLayout, ReplaceReport), TopologyError> {
-        self.execute_replace(
-            base,
-            prev,
-            delta,
-            ExecOptions {
-                workspace: Some(ws),
-                sink: Some(sink),
-                trace_id: None,
-            },
-        )
-    }
-
     fn replace_core(
         &self,
         base: &Topology,

@@ -287,10 +287,9 @@ impl Runner {
             .report
     }
 
-    /// Runs the plan with the given [`RunOptions`] — the single entry
-    /// point that replaced the `run_with_sinks` / `run_with_trace` /
-    /// `run_with_events` method family; sinks, convergence-trace
-    /// capture, and timeline-event capture compose freely.
+    /// Runs the plan with the given [`RunOptions`]; sinks,
+    /// convergence-trace capture, and timeline-event capture compose
+    /// freely.
     ///
     /// Records land in plan order no matter the scheduling; sink and
     /// trace-file writing happens after the whole run, so file output
@@ -391,77 +390,10 @@ impl Runner {
         }
         Ok(RunOutcome { report, events })
     }
-
-    /// Run feeding record sinks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sink I/O errors.
-    #[deprecated(note = "use `execute` with `RunOptions { sinks, .. }`")]
-    pub fn run_with_sinks(
-        &self,
-        plan: &ExperimentPlan,
-        sinks: &mut [&mut dyn Sink],
-    ) -> std::io::Result<RunReport> {
-        let report = self.run(plan);
-        for sink in sinks.iter_mut() {
-            sink.begin(plan)?;
-            for record in &report.records {
-                sink.record(record)?;
-            }
-            sink.finish()?;
-        }
-        Ok(report)
-    }
-
-    /// Run with a JSONL convergence-trace sidecar.
-    ///
-    /// # Errors
-    ///
-    /// Propagates trace-file I/O errors.
-    #[deprecated(note = "use `execute` with `RunOptions { trace_path, .. }`")]
-    pub fn run_with_trace(
-        &self,
-        plan: &ExperimentPlan,
-        trace_path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<RunReport> {
-        self.execute(
-            plan,
-            RunOptions {
-                trace_path: Some(trace_path.as_ref().to_path_buf()),
-                ..Default::default()
-            },
-        )
-        .map(|outcome| outcome.report)
-    }
-
-    /// Run capturing the full event timeline.
-    #[deprecated(note = "use `execute` with `RunOptions { capture_events: true, .. }`")]
-    #[must_use]
-    pub fn run_with_events(
-        &self,
-        plan: &ExperimentPlan,
-    ) -> (RunReport, qplacer_obs::EventSnapshot) {
-        let outcome = self
-            .execute(
-                plan,
-                RunOptions {
-                    capture_events: true,
-                    ..Default::default()
-                },
-            )
-            .expect("event capture performs no I/O");
-        let events = outcome
-            .events
-            .expect("capture_events was set, so a snapshot exists");
-        (outcome.report, events)
-    }
 }
 
-/// Options for [`Runner::execute`] — the single entry point that
-/// replaced the `run_with_sinks` / `run_with_trace` / `run_with_events`
-/// method family. `Default` is a bare run (no sinks, no trace file, no
-/// event capture); the capabilities compose freely.
+/// Options for [`Runner::execute`]. `Default` is a bare run (no sinks,
+/// no trace file, no event capture); the capabilities compose freely.
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Record consumers, each fed every record in plan order bracketed

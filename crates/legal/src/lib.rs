@@ -25,7 +25,7 @@
 //! let device = Topology::grid(2, 2);
 //! let freqs = FrequencyAssigner::paper_defaults().assign(&device);
 //! let mut netlist = QuantumNetlist::build(&device, &freqs, &NetlistConfig::default());
-//! GlobalPlacer::new(PlacerConfig::fast()).run(&mut netlist);
+//! GlobalPlacer::new(PlacerConfig::fast()).execute(&mut netlist, Default::default());
 //! let report = Legalizer::default().run(&mut netlist);
 //! assert_eq!(report.remaining_overlaps, 0);
 //! ```

@@ -35,6 +35,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide, so the tests in this file take turns:
+/// a test running alongside would add its allocations to the other's
+/// measurement windows.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = f();
@@ -49,6 +60,7 @@ use qplacer_topology::Topology;
 
 #[test]
 fn steady_state_legalization_does_not_allocate() {
+    let _serial = serial();
     let t = Topology::grid(3, 3);
     let freqs = FrequencyAssigner::paper_defaults().assign(&t);
     let mut nl = QuantumNetlist::build(&t, &freqs, &NetlistConfig::default());
@@ -83,6 +95,7 @@ fn steady_state_legalization_does_not_allocate() {
 
 #[test]
 fn steady_state_frequency_assignment_does_not_allocate() {
+    let _serial = serial();
     let t = Topology::falcon27();
     let assigner = FrequencyAssigner::paper_defaults();
     let mut ws = FreqWorkspace::default();

@@ -237,12 +237,9 @@ pub struct GlobalPlacer {
     config: PlacerConfig,
 }
 
-/// Options for [`GlobalPlacer::execute`] — the single entry point that
-/// replaced the `run` / `run_with` / `run_traced` / `run_warm` /
-/// `run_warm_traced` method family. `Default` is a cold, untraced run
-/// with an internal scratch workspace; each field opts into one
-/// capability independently, so new capabilities no longer multiply the
-/// method count.
+/// Options for [`GlobalPlacer::execute`], the placer's single entry
+/// point. `Default` is a cold, untraced run with an internal scratch
+/// workspace; each field opts into one capability independently.
 #[derive(Default)]
 pub struct ExecOptions<'a> {
     /// Caller-owned scratch buffers, reused across runs so steady-state
@@ -325,84 +322,6 @@ impl GlobalPlacer {
             }
             None => self.run_flat(netlist, ws, sink, None),
         }
-    }
-
-    /// Cold, untraced run with an internal workspace.
-    #[deprecated(note = "use `execute` with `ExecOptions::default()`")]
-    pub fn run(&self, netlist: &mut QuantumNetlist) -> PlacementReport {
-        self.execute(netlist, ExecOptions::default())
-    }
-
-    /// Cold, untraced run reusing a caller-owned workspace.
-    #[deprecated(note = "use `execute` with `ExecOptions { workspace, .. }`")]
-    pub fn run_with(
-        &self,
-        netlist: &mut QuantumNetlist,
-        ws: &mut PlacerWorkspace,
-    ) -> PlacementReport {
-        self.execute(
-            netlist,
-            ExecOptions {
-                workspace: Some(ws),
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Cold run with a per-iteration trace sink.
-    #[deprecated(note = "use `execute` with `ExecOptions { workspace, sink, .. }`")]
-    pub fn run_traced(
-        &self,
-        netlist: &mut QuantumNetlist,
-        ws: &mut PlacerWorkspace,
-        sink: &mut dyn TraceSink,
-    ) -> PlacementReport {
-        self.execute(
-            netlist,
-            ExecOptions {
-                workspace: Some(ws),
-                sink: Some(sink),
-                pinned: None,
-            },
-        )
-    }
-
-    /// Warm-start (pinned) run; see [`ExecOptions::pinned`].
-    #[deprecated(note = "use `execute` with `ExecOptions { workspace, pinned, .. }`")]
-    #[must_use]
-    pub fn run_warm(
-        &self,
-        netlist: &mut QuantumNetlist,
-        ws: &mut PlacerWorkspace,
-        pinned: &[bool],
-    ) -> PlacementReport {
-        self.execute(
-            netlist,
-            ExecOptions {
-                workspace: Some(ws),
-                sink: None,
-                pinned: Some(pinned),
-            },
-        )
-    }
-
-    /// Warm-start run with a per-iteration trace sink.
-    #[deprecated(note = "use `execute` with `ExecOptions { workspace, sink, pinned }`")]
-    pub fn run_warm_traced(
-        &self,
-        netlist: &mut QuantumNetlist,
-        ws: &mut PlacerWorkspace,
-        pinned: &[bool],
-        sink: &mut dyn TraceSink,
-    ) -> PlacementReport {
-        self.execute(
-            netlist,
-            ExecOptions {
-                workspace: Some(ws),
-                sink: Some(sink),
-                pinned: Some(pinned),
-            },
-        )
     }
 
     fn run_flat(

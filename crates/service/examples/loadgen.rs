@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use mio::{Events, Interest, Poll, Token};
 use qplacer_service::{
     ClientBuilder, DeviceSpec, PlaceJob, Request, Server, ServiceConfig, ServiceError,
-    ShardedClient, Strategy, PROTOCOL_MINOR_VERSION, PROTOCOL_VERSION,
+    ShardedClient, Strategy, PROTOCOL_VERSION,
 };
 
 fn falcon_job() -> PlaceJob {
@@ -167,7 +167,6 @@ fn run_connections(total: usize) {
         let hello = Request::Hello {
             id: 1,
             version: PROTOCOL_VERSION,
-            minor: PROTOCOL_MINOR_VERSION,
         };
         let place = Request::Place {
             id: 2,

@@ -18,9 +18,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::metrics::MetricsSnapshot;
-use crate::protocol::{
-    ErrorCode, PlaceJob, PlacementResult, Reply, Request, PROTOCOL_MINOR_VERSION, PROTOCOL_VERSION,
-};
+use crate::protocol::{ErrorCode, PlaceJob, PlacementResult, Reply, Request, PROTOCOL_VERSION};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -246,9 +244,7 @@ impl ClientBuilder {
         match client.call(Request::Hello {
             id,
             version: PROTOCOL_VERSION,
-            minor: PROTOCOL_MINOR_VERSION,
         })? {
-            // Minor skew is fine; only the major must match.
             Reply::Hello { version, .. } if version == PROTOCOL_VERSION => Ok(client),
             Reply::Hello { version, .. } => Err(ServiceError::Protocol(format!(
                 "server speaks protocol v{version}, expected v{PROTOCOL_VERSION}"
@@ -278,19 +274,6 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// Connects with builder defaults and performs the version
-    /// handshake.
-    #[deprecated(note = "use `ClientBuilder::new(addr).connect()`")]
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
-        // `ToSocketAddrs` has no display form, so resolve here and hand
-        // the builder a concrete address.
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ServiceError::Protocol("address resolved to nothing".to_string()))?;
-        ClientBuilder::new(addr).connect()
-    }
-
     fn fresh_id(&mut self) -> u64 {
         self.next_id += 1;
         self.next_id
@@ -447,18 +430,6 @@ impl ServiceClient {
             .map(|job| self.submit_place(job))
             .collect::<Result<Vec<_>, _>>()?;
         ids.into_iter().map(|id| self.await_place(id)).collect()
-    }
-
-    /// Runs (or cache-serves) one placement under `trace_id`: the
-    /// server's worker adopts the id for the duration of the job, so
-    /// every event in the daemon's timeline for this job carries it.
-    #[deprecated(note = "use `place_with_policy` with `TracePolicy::Fixed(trace_id)`")]
-    pub fn place_traced(
-        &mut self,
-        job: &PlaceJob,
-        trace_id: u64,
-    ) -> Result<PlacedReply, ServiceError> {
-        self.place_with_policy(job, TracePolicy::Fixed(trace_id))
     }
 
     /// One wire round trip, no retry.

@@ -7,8 +7,8 @@
 //!
 //! - **Wire protocol** ([`protocol`]) — one JSON object per line,
 //!   externally tagged, client-correlated ids, explicit
-//!   [`PROTOCOL_VERSION`] handshake with minor-version negotiation
-//!   (older clients are served with newer features masked).
+//!   [`PROTOCOL_VERSION`] handshake (one version; a mismatch is a typed
+//!   error).
 //! - **Event-driven I/O** ([`server`]) — one reactor thread multiplexes
 //!   every connection over nonblocking readiness polling (vendored
 //!   `mio`), so thousands of idle connections cost buffers, not
@@ -83,8 +83,7 @@ pub use metrics::{
     bucket_bounds_ms, HistogramSnapshot, LatencyHistogram, MetricsSnapshot, ServiceMetrics,
 };
 pub use protocol::{
-    ErrorCode, PlaceJob, PlacementResult, Priority, Reply, Request, PROTOCOL_MINOR_VERSION,
-    PROTOCOL_VERSION,
+    ErrorCode, PlaceJob, PlacementResult, Priority, Reply, Request, PROTOCOL_VERSION,
 };
 pub use queue::{JobQueue, PushError, QueuedJob, ReplyPort, ReplySender};
 pub use server::{Server, ServiceConfig};

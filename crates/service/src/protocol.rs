@@ -18,34 +18,15 @@ use qplacer_harness::{DeviceSpec, JobSpec, PipelineConfig, PlacedLayout, Profile
 
 use crate::metrics::MetricsSnapshot;
 
-/// Wire-protocol major version; bump on any breaking message change.
-/// The server rejects a mismatched major with
+/// The wire-protocol version. There is one version of every message,
+/// and a `hello` whose version differs is rejected with
 /// [`ErrorCode::VersionMismatch`].
 pub const PROTOCOL_VERSION: u32 = 1;
 
-/// Wire-protocol minor version; bump on compatible message additions
-/// (new [`DeviceSpec`] variants, new error codes). Carried in the
-/// `hello` handshake for diagnostics — the server accepts any minor
-/// under an equal major.
-///
-/// History: 0 = PR 4 baseline; 1 = device-zoo specs (heavy-hex /
-/// ring / ladder / defective / JSON import) + `invalid-device`;
-/// 2 = `metrics` Prometheus-text export + snapshot `uptime_ms` /
-/// `rejected_invalid_device` fields; 3 = trace-context propagation
-/// (`trace_id` on `place`/`placed`) + the `dump-trace` flight-recorder
-/// wire pair; 4 = scheduling metadata on [`PlaceJob`] (`priority`
-/// lanes, `tenant` admission quotas) + `quota-exceeded`.
-///
-/// The server accepts any client minor under an equal major and masks
-/// features the client's minor predates (see the negotiation notes on
-/// each message); a newer client degrades gracefully against an older
-/// server because unknown reply fields are ignored on parse.
-pub const PROTOCOL_MINOR_VERSION: u32 = 4;
-
-/// Scheduling lane of a [`PlaceJob`] (added in minor 4). Strict
-/// priority: the queue never pops a lane while a higher one has work.
-/// Priority affects *when* a job runs, never its result — like
-/// deadlines, it stays out of the cache key.
+/// Scheduling lane of a [`PlaceJob`]. Strict priority: the queue never
+/// pops a lane while a higher one has work. Priority affects *when* a
+/// job runs, never its result — like deadlines, it stays out of the
+/// cache key.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Priority {
     /// Interactive traffic; served before everything else.
@@ -114,15 +95,15 @@ pub struct PlaceJob {
     /// queued past its deadline is answered with
     /// [`ErrorCode::DeadlineExceeded`] instead of running.
     pub deadline_ms: Option<u64>,
-    /// Scheduling lane (added in minor 4). Affects queue order only —
-    /// never the result, so it stays out of the cache key.
+    /// Scheduling lane. Affects queue order only — never the result, so
+    /// it stays out of the cache key.
     pub priority: Priority,
-    /// Submitting tenant (added in minor 4), checked against the
-    /// server's per-tenant admission quota: a tenant already holding
-    /// its full share of queue slots is answered with
-    /// [`ErrorCode::QuotaExceeded`] instead of enqueuing. `None` =
-    /// the anonymous tenant (quota still applies, pooled). Stays out
-    /// of the cache key — results are tenant-independent.
+    /// Submitting tenant, checked against the server's per-tenant
+    /// admission quota: a tenant already holding its full share of queue
+    /// slots is answered with [`ErrorCode::QuotaExceeded`] instead of
+    /// enqueuing. `None` = the anonymous tenant (quota still applies,
+    /// pooled). Stays out of the cache key — results are
+    /// tenant-independent.
     pub tenant: Option<String>,
 }
 
@@ -179,10 +160,8 @@ pub enum Request {
     Hello {
         /// Correlation id, echoed in the reply.
         id: u64,
-        /// The client's [`PROTOCOL_VERSION`] (major; must match).
+        /// The client's [`PROTOCOL_VERSION`] (must match).
         version: u32,
-        /// The client's [`PROTOCOL_MINOR_VERSION`] (informational).
-        minor: u32,
     },
     /// Run (or serve from cache) one placement.
     Place {
@@ -190,10 +169,10 @@ pub enum Request {
         id: u64,
         /// What to place.
         job: PlaceJob,
-        /// Client-supplied 64-bit trace id (added in minor 3). The
-        /// worker serving this job adopts it as its trace context, so
-        /// every event the job records — placer, legalizer, assigner —
-        /// carries this id end to end. `None` lets the server assign
+        /// Client-supplied 64-bit trace id. The worker serving this job
+        /// adopts it as its trace context, so every event the job
+        /// records — placer, legalizer, assigner — carries this id end
+        /// to end. `None` lets the server assign
         /// one; it lives on the envelope, **not** in [`PlaceJob`], so
         /// it never perturbs the result-cache key.
         trace_id: Option<u64>,
@@ -204,7 +183,7 @@ pub enum Request {
         id: u64,
     },
     /// Fetch every server metric rendered in the Prometheus text
-    /// exposition format (added in minor 2).
+    /// exposition format.
     Metrics {
         /// Correlation id, echoed in the reply.
         id: u64,
@@ -214,9 +193,9 @@ pub enum Request {
         /// Correlation id, echoed in the reply.
         id: u64,
     },
-    /// Dump the server's flight recorder (added in minor 3): the
-    /// last-N-events-per-thread ring, rendered as a Chrome Trace Event
-    /// JSON document — the post-mortem view of a slow or wedged daemon.
+    /// Dump the server's flight recorder: the last-N-events-per-thread
+    /// ring, rendered as a Chrome Trace Event JSON document — the
+    /// post-mortem view of a slow or wedged daemon.
     DumpTrace {
         /// Correlation id, echoed in the reply.
         id: u64,
@@ -250,86 +229,11 @@ impl Request {
         serde_json::to_string(self).expect("protocol messages always serialize")
     }
 
-    /// Parses one wire line.
-    ///
-    /// Two back-compat shims keep older clients working against a
-    /// newer server:
-    ///
-    /// - the minor-0 (protocol 1.0) `hello` shape — which predates the
-    ///   `minor` field — parses as `minor: 0`;
-    /// - older `place` shapes — missing `trace_id` (pre-minor-3)
-    ///   and/or the job's `priority` / `tenant` (pre-minor-4) — parse
-    ///   with those fields defaulted (`None` / `Normal`).
-    ///
-    /// (The reverse direction needs no shim: unknown fields are
-    /// ignored on parse, so an old client reading a newer message
-    /// simply skips the additions.)
+    /// Parses one wire line. Every field is required: a line missing
+    /// one is a [`ErrorCode::BadRequest`], never a defaulted request.
     pub fn parse(line: &str) -> Result<Request, String> {
-        match serde_json::from_str(line) {
-            Ok(request) => Ok(request),
-            Err(e) => parse_minor0_hello(line)
-                .or_else(|| parse_legacy_place(line))
-                .ok_or_else(|| format!("bad request: {e}")),
-        }
+        serde_json::from_str(line).map_err(|e| format!("bad request: {e}"))
     }
-}
-
-/// The protocol-1.0 `hello` wire shape: `{"Hello":{"id":…,"version":…}}`
-/// with no `minor` field.
-fn parse_minor0_hello(line: &str) -> Option<Request> {
-    let value: serde::Value = serde_json::from_str(line).ok()?;
-    let (tag, inner) = value.as_variant()?;
-    if tag != "Hello" {
-        return None;
-    }
-    let fields = inner.as_map()?;
-    if fields.iter().any(|(k, _)| k == "minor") {
-        return None; // not the legacy shape — let the strict error stand
-    }
-    let id = u64::from_value(serde::Value::field(fields, "id").ok()?).ok()?;
-    let version = u32::from_value(serde::Value::field(fields, "version").ok()?).ok()?;
-    Some(Request::Hello {
-        id,
-        version,
-        minor: 0,
-    })
-}
-
-/// Older `place` wire shapes: missing `trace_id` on the envelope
-/// (pre-minor-3) and/or missing `priority` / `tenant` inside the job
-/// (pre-minor-4). Patches defaults for exactly the *missing* fields
-/// into the parsed value and re-runs the derived deserializer, so
-/// legacy shapes stay accepted without duplicating the job schema here
-/// — while a present-but-malformed field still fails strict.
-fn parse_legacy_place(line: &str) -> Option<Request> {
-    let value: serde::Value = serde_json::from_str(line).ok()?;
-    let (tag, inner) = value.as_variant()?;
-    if tag != "Place" {
-        return None;
-    }
-    let fields = inner.as_map()?;
-    let mut patched_any = false;
-    let mut envelope = fields.to_vec();
-    if !envelope.iter().any(|(k, _)| k == "trace_id") {
-        envelope.push(("trace_id".to_string(), serde::Value::Null));
-        patched_any = true;
-    }
-    if let Some(job_slot) = envelope.iter_mut().find(|(k, _)| k == "job") {
-        let mut job = job_slot.1.as_map()?.to_vec();
-        if !job.iter().any(|(k, _)| k == "priority") {
-            job.push(("priority".to_string(), serde::Value::Str("Normal".into())));
-            patched_any = true;
-        }
-        if !job.iter().any(|(k, _)| k == "tenant") {
-            job.push(("tenant".to_string(), serde::Value::Null));
-            patched_any = true;
-        }
-        job_slot.1 = serde::Value::Map(job);
-    }
-    if !patched_any {
-        return None; // nothing was missing — let the strict error stand
-    }
-    Request::from_value(&serde::Value::variant_map("Place", envelope)).ok()
 }
 
 /// Machine-readable error class in [`Reply::Error`].
@@ -346,9 +250,7 @@ pub enum ErrorCode {
     /// The job sat queued past its [`PlaceJob::deadline_ms`].
     DeadlineExceeded,
     /// The submitting tenant already holds its full per-tenant share of
-    /// queue slots (added in minor 4); retry when its in-flight work
-    /// drains. Masked to [`ErrorCode::Busy`] for pre-minor-4 clients,
-    /// which do not know this code.
+    /// queue slots; retry when its in-flight work drains.
     QuotaExceeded,
     /// The job's [`DeviceSpec`] does not describe a placeable device
     /// (bad parameters, unreadable JSON import, disconnected graph);
@@ -450,8 +352,6 @@ pub enum Reply {
         id: u64,
         /// The server's [`PROTOCOL_VERSION`].
         version: u32,
-        /// The server's [`PROTOCOL_MINOR_VERSION`].
-        minor: u32,
         /// Server software identifier.
         server: String,
     },
@@ -463,10 +363,10 @@ pub enum Reply {
         cached: bool,
         /// Wall time from receipt to reply (ms). Non-deterministic.
         wall_ms: f64,
-        /// The trace id the job's events were recorded under (added in
-        /// minor 3): the client-supplied id echoed back, or the
-        /// server-assigned one when the request carried none. `None`
-        /// only for cache hits that never ran a pipeline.
+        /// The trace id the job's events were recorded under: the
+        /// client-supplied id echoed back, or the server-assigned one
+        /// when the request carried none. `None` only for cache hits
+        /// that never ran a pipeline.
         trace_id: Option<u64>,
         /// The deterministic placement payload.
         result: PlacementResult,
@@ -479,14 +379,14 @@ pub enum Reply {
         metrics: MetricsSnapshot,
     },
     /// Answer to [`Request::Metrics`]: the full metrics state rendered
-    /// in the Prometheus text exposition format (added in minor 2).
+    /// in the Prometheus text exposition format.
     MetricsText {
         /// Echoed correlation id.
         id: u64,
         /// Prometheus text exposition payload.
         text: String,
     },
-    /// Answer to [`Request::DumpTrace`] (added in minor 3).
+    /// Answer to [`Request::DumpTrace`].
     TraceDump {
         /// Echoed correlation id.
         id: u64,
@@ -541,9 +441,7 @@ impl Reply {
         serde_json::to_string(self).expect("protocol messages always serialize")
     }
 
-    /// Parses one wire line. Accepts the pre-minor-3 `placed` shape
-    /// (no `trace_id` field) as `trace_id: None`, so a newer client can
-    /// still read replies from an older server.
+    /// Parses one wire line.
     ///
     /// `Placed` replies in the server's canonical encoding take a
     /// single-pass fast path: they dominate every workload (one per
@@ -556,10 +454,7 @@ impl Reply {
         if let Some(reply) = fast_parse_placed(line) {
             return Ok(reply);
         }
-        match serde_json::from_str(line) {
-            Ok(reply) => Ok(reply),
-            Err(e) => parse_pre_minor3_placed(line).ok_or_else(|| format!("bad reply: {e}")),
-        }
+        serde_json::from_str(line).map_err(|e| format!("bad reply: {e}"))
     }
 }
 
@@ -639,9 +534,9 @@ impl WireCursor<'_> {
 /// `{"Place":{"id":N,"job":<json>,"trace_id":null|N}}`, the field
 /// order [`Request::to_line`] emits — and returns `(id, the job's raw
 /// JSON substring)` without parsing the job. Returns `None` for any
-/// other shape (older clients omit `trace_id`; they take the generic
-/// parser). The server's admission memo keys on the job substring to
-/// skip re-parsing and re-fingerprinting repeat submissions.
+/// other shape; those take the generic parser. The server's admission
+/// memo keys on the job substring to skip re-parsing and
+/// re-fingerprinting repeat submissions.
 ///
 /// The `trace_id` tail is located with a reverse search: the envelope's
 /// `,"trace_id":` is the last occurrence on the line (the job object
@@ -755,22 +650,6 @@ fn fast_parse_placed(line: &str) -> Option<Reply> {
     })
 }
 
-/// The pre-minor-3 `placed` wire shape: no `trace_id` field.
-fn parse_pre_minor3_placed(line: &str) -> Option<Reply> {
-    let value: serde::Value = serde_json::from_str(line).ok()?;
-    let (tag, inner) = value.as_variant()?;
-    if tag != "Placed" {
-        return None;
-    }
-    let fields = inner.as_map()?;
-    if fields.iter().any(|(k, _)| k == "trace_id") {
-        return None;
-    }
-    let mut patched = fields.to_vec();
-    patched.push(("trace_id".to_string(), serde::Value::Null));
-    Reply::from_value(&serde::Value::variant_map("Placed", patched)).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,8 +723,8 @@ mod tests {
         assert_eq!(fragment, serde_json::to_string(&tricky).unwrap());
 
         // Non-canonical shapes fall through to the generic parser.
-        let legacy = r#"{"Place":{"id":5,"job":{"device":"Falcon27"}}}"#;
-        assert_eq!(scan_place_envelope(legacy), None, "pre-minor-3 shape");
+        let untraced = r#"{"Place":{"id":5,"job":{"device":"Falcon27"}}}"#;
+        assert_eq!(scan_place_envelope(untraced), None, "missing trace_id");
         let reordered = r#"{"Place":{"id":5,"trace_id":null,"job":{"device":"Falcon27"}}}"#;
         assert_eq!(scan_place_envelope(reordered), None, "reordered fields");
         let bad_tail = r#"{"Place":{"id":5,"job":{"a":1},"trace_id":"x"}}"#;
@@ -919,73 +798,18 @@ mod tests {
         assert!(Request::parse("not json").is_err());
         assert!(Request::parse("{\"Nope\":{}}").is_err());
         assert!(Reply::parse("").is_err());
-    }
-
-    #[test]
-    fn minor0_hello_is_accepted_as_minor_zero() {
-        // The protocol-1.0 wire shape (no `minor` field) must still
-        // open a session against a 1.1 server.
-        let legacy = r#"{"Hello":{"id":3,"version":1}}"#;
-        assert_eq!(
-            Request::parse(legacy).unwrap(),
-            Request::Hello {
-                id: 3,
-                version: 1,
-                minor: 0
-            }
-        );
-        // The shim applies only to `hello`: other truncated messages
-        // still fail, as does a hello with a malformed `minor`.
+        // Every field is required and must be well-formed: a message
+        // missing one is refused, not defaulted.
+        assert!(Request::parse(r#"{"Hello":{"id":3}}"#).is_err());
         assert!(Request::parse(r#"{"Place":{"id":1}}"#).is_err());
-        assert!(Request::parse(r#"{"Hello":{"id":3,"version":1,"minor":"x"}}"#).is_err());
-    }
-
-    #[test]
-    fn pre_minor3_place_is_accepted_without_trace_id() {
-        // The minor-2 wire shape (no `trace_id`, no `priority` /
-        // `tenant`) must still parse with everything defaulted.
-        let legacy = r#"{"Place":{"id":5,"job":{"device":"Falcon27","strategy":"FrequencyAware","profile":"Fast","segment_size_mm":null,"deadline_ms":null}}}"#;
-        match Request::parse(legacy).unwrap() {
-            Request::Place { id, trace_id, job } => {
-                assert_eq!(id, 5);
-                assert_eq!(trace_id, None);
-                assert_eq!(job.priority, Priority::Normal);
-                assert_eq!(job.tenant, None);
-            }
-            other => panic!("expected Place, got {other:?}"),
-        }
-        // The shim only fills a *missing* field: a malformed trace_id
-        // still fails.
+        let untraced = r#"{"Place":{"id":5,"job":{"device":"Falcon27","strategy":"FrequencyAware","profile":"Fast","segment_size_mm":null,"deadline_ms":null,"priority":"Normal","tenant":null}}}"#;
+        assert!(Request::parse(untraced).is_err());
+        let traced = untraced.replace("}}}", "},\"trace_id\":null}}");
+        assert!(Request::parse(&traced).is_ok());
         assert!(
-            Request::parse(
-                r#"{"Place":{"id":5,"trace_id":"x","job":{"device":"Falcon27","strategy":"FrequencyAware","profile":"Fast","segment_size_mm":null,"deadline_ms":null}}}"#
-            )
-            .is_err()
+            Request::parse(&traced.replace("\"trace_id\":null", "\"trace_id\":\"x\"")).is_err()
         );
-    }
-
-    #[test]
-    fn pre_minor4_place_is_accepted_without_priority_and_tenant() {
-        // The minor-3 wire shape: `trace_id` present on the envelope,
-        // but the job predates `priority` / `tenant`.
-        let legacy = r#"{"Place":{"id":6,"trace_id":77,"job":{"device":"Falcon27","strategy":"FrequencyAware","profile":"Fast","segment_size_mm":null,"deadline_ms":250}}}"#;
-        match Request::parse(legacy).unwrap() {
-            Request::Place { id, trace_id, job } => {
-                assert_eq!(id, 6);
-                assert_eq!(trace_id, Some(77));
-                assert_eq!(job.deadline_ms, Some(250));
-                assert_eq!(job.priority, Priority::Normal);
-                assert_eq!(job.tenant, None);
-            }
-            other => panic!("expected Place, got {other:?}"),
-        }
-        // A present-but-malformed priority still fails strict.
-        assert!(
-            Request::parse(
-                r#"{"Place":{"id":6,"trace_id":null,"job":{"device":"Falcon27","strategy":"FrequencyAware","profile":"Fast","segment_size_mm":null,"deadline_ms":null,"priority":"Urgent","tenant":null}}}"#
-            )
-            .is_err()
-        );
+        assert!(Request::parse(&traced.replace("\"Normal\"", "\"Urgent\"")).is_err());
     }
 
     #[test]
@@ -1012,39 +836,6 @@ mod tests {
         assert_eq!("high".parse::<Priority>().unwrap(), Priority::High);
         assert!("urgent".parse::<Priority>().is_err());
         assert_eq!(Priority::default(), Priority::Normal);
-    }
-
-    #[test]
-    fn pre_minor3_placed_reply_is_accepted_without_trace_id() {
-        let new = Reply::Placed {
-            id: 8,
-            cached: false,
-            wall_ms: 1.5,
-            trace_id: Some(42),
-            result: PlacementResult {
-                device: "falcon".to_string(),
-                strategy: "qplacer".to_string(),
-                instances: 0,
-                positions: Vec::new(),
-                place_iterations: 0,
-                hpwl_mm: 0.0,
-                mer_area_mm2: 0.0,
-                utilization: 0.0,
-                ph: 0.0,
-                violations: 0,
-                remaining_overlaps: 0,
-            },
-        };
-        // Strip trace_id from the wire line to fake an old server.
-        let line = new.to_line().replace("\"trace_id\":42,", "");
-        assert!(!line.contains("trace_id"));
-        match Reply::parse(&line).unwrap() {
-            Reply::Placed { id, trace_id, .. } => {
-                assert_eq!(id, 8);
-                assert_eq!(trace_id, None);
-            }
-            other => panic!("expected Placed, got {other:?}"),
-        }
     }
 
     #[test]

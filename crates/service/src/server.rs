@@ -28,14 +28,6 @@
 //! thousands of idle connections at a few bytes each instead of two
 //! threads each.
 //!
-//! Version negotiation (the `hello` handshake) is per-connection: the
-//! server accepts any client minor under an equal major, remembers
-//! `min(client minor, server minor)`, and masks newer features
-//! server-side — `trace_id` is stripped from replies to pre-minor-3
-//! clients, `quota-exceeded` degrades to `busy` for pre-minor-4
-//! clients, and requests a client's minor predates are refused as
-//! `bad-request` rather than silently misunderstood.
-//!
 //! With a store directory configured, every fresh placement is also
 //! appended to the [`DurableStore`]; on startup the store's replayed
 //! records seed the result cache, so a restarted daemon answers
@@ -60,9 +52,7 @@ use qplacer_topology::Topology;
 
 use crate::cache::{cache_key, cache_key_with_content, config_fingerprint, ResultCache};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::protocol::{
-    ErrorCode, PlacementResult, Reply, Request, PROTOCOL_MINOR_VERSION, PROTOCOL_VERSION,
-};
+use crate::protocol::{ErrorCode, PlacementResult, Reply, Request, PROTOCOL_VERSION};
 use crate::queue::{JobQueue, PushError, QueuedJob, ReplyPort, ReplySender};
 use crate::store::DurableStore;
 
@@ -405,25 +395,30 @@ const WAKER: Token = Token(1);
 /// Connection slot `i` registers as `Token(i + CONN_BASE)`.
 const CONN_BASE: usize = 2;
 
+/// Longest partial request line a connection may buffer. Real lines
+/// are a few hundred bytes (`FromJson` jobs carry a path, not the file
+/// contents); a peer that sends more without a newline gets a
+/// `bad-request` reply and is closed, so it cannot grow the daemon's
+/// memory without bound.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// One connection's reactor-side state.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
-    /// Bytes received but not yet forming a complete line.
+    /// Bytes received but not yet forming a complete line (at most
+    /// [`MAX_LINE_BYTES`] between reactor passes).
     read_buf: Vec<u8>,
     /// Serialized replies not yet accepted by the socket.
     write_buf: Vec<u8>,
-    /// Negotiated protocol minor: `min(client, server)` after a
-    /// successful `hello`; full-featured before one (a client that
-    /// skips the handshake gets current-version behavior, as the
-    /// thread-per-connection server always did).
-    minor: u32,
     /// Stamp distinguishing this tenancy of the slot from earlier ones;
     /// replies carry it so a recycled slot never receives a dead
     /// connection's replies.
     generation: u64,
-    /// The peer closed its write side (EOF seen).
-    peer_closed: bool,
+    /// No more input will be read: the peer closed its write side, or
+    /// sent a line over [`MAX_LINE_BYTES`]. The connection closes once
+    /// its pending replies flush.
+    read_closed: bool,
     /// Unrecoverable socket error; reap without flushing.
     dead: bool,
     /// Whether WRITABLE interest is currently registered.
@@ -534,7 +529,7 @@ impl Reactor {
                     Some(Some(conn)) if conn.generation == generation
                 );
                 if live {
-                    self.enqueue_reply(slot, reply);
+                    self.enqueue_line(slot, reply.to_line());
                     if !touched.contains(&slot) {
                         touched.push(slot);
                     }
@@ -585,9 +580,8 @@ impl Reactor {
                         stream,
                         read_buf: Vec::new(),
                         write_buf: Vec::new(),
-                        minor: PROTOCOL_MINOR_VERSION,
                         generation: self.next_generation,
-                        peer_closed: false,
+                        read_closed: false,
                         dead: false,
                         wants_write: false,
                     };
@@ -625,6 +619,12 @@ impl Reactor {
 
     /// Handles one connection's readiness: flush pending writes, read
     /// whatever arrived, process every complete line.
+    ///
+    /// Framing is linear in the bytes read: each byte is searched for a
+    /// newline once, and the complete lines leave the buffer in one
+    /// drain. One pass buffers little more than [`MAX_LINE_BYTES`]; a
+    /// partial line over that cap is answered with `bad-request` and
+    /// closes the connection.
     fn service_conn(&mut self, slot: usize, readable: bool, writable: bool, scratch: &mut [u8]) {
         let Some(Some(conn)) = self.conns.get_mut(slot) else {
             return; // closed earlier in this batch
@@ -632,49 +632,80 @@ impl Reactor {
         if writable {
             flush_conn(conn);
         }
-        let mut lines = Vec::new();
-        if readable {
-            loop {
-                match conn.stream.read(scratch) {
-                    Ok(0) => {
-                        conn.peer_closed = true;
-                        break;
+        if !readable || conn.read_closed {
+            self.update_interest(slot);
+            return;
+        }
+        // `read_buf` holds no newline on entry, so every line ends in
+        // bytes read here; `complete` is the length of the prefix made
+        // of whole lines.
+        let mut complete = 0;
+        let mut oversized = false;
+        loop {
+            match conn.stream.read(scratch) {
+                Ok(0) => {
+                    conn.read_closed = true;
+                    break;
+                }
+                Ok(n) => {
+                    if let Some(last) = scratch[..n].iter().rposition(|&b| b == b'\n') {
+                        complete = conn.read_buf.len() + last + 1;
                     }
-                    Ok(n) => conn.read_buf.extend_from_slice(&scratch[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
+                    conn.read_buf.extend_from_slice(&scratch[..n]);
+                    // Past the cap, stop reading: either the partial
+                    // line is oversized, or there are whole lines to
+                    // handle first (readiness is level-triggered, so
+                    // the rest is read on the next pass).
+                    if conn.read_buf.len() > MAX_LINE_BYTES {
+                        oversized = conn.read_buf.len() - complete > MAX_LINE_BYTES;
                         break;
                     }
                 }
-            }
-            while let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-                let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-                if !line.trim().is_empty() {
-                    lines.push(line);
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    conn.dead = true;
+                    break;
                 }
             }
         }
-        if lines.is_empty() {
+        if complete == 0 && !oversized {
             self.update_interest(slot);
-        } else {
-            for line in lines {
+            return;
+        }
+        // Handle the lines straight out of the buffer, then put back
+        // only the partial tail (or nothing, for an oversized one).
+        let mut buf = std::mem::take(&mut conn.read_buf);
+        for line in buf[..complete].split(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(line);
+            if !line.trim().is_empty() {
                 self.handle_line(slot, &line);
             }
-            self.flush_and_update(slot);
         }
+        if oversized {
+            self.shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            let refusal = Reply::Error {
+                id: 0,
+                code: ErrorCode::BadRequest,
+                message: format!("request line exceeds {MAX_LINE_BYTES} bytes; closing connection"),
+            };
+            self.enqueue_line(slot, refusal.to_line());
+        }
+        if let Some(Some(conn)) = self.conns.get_mut(slot) {
+            if oversized {
+                conn.read_closed = true;
+            } else {
+                buf.drain(..complete);
+                conn.read_buf = buf;
+            }
+        }
+        self.flush_and_update(slot);
     }
 
     /// Parses and dispatches one request line from `slot`.
     fn handle_line(&mut self, slot: usize, line: &str) {
         let shared = Arc::clone(&self.shared);
         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let minor = match self.conns.get(slot) {
-            Some(Some(conn)) => conn.minor,
-            _ => return,
-        };
         // Cached-repeat fast path: a canonical `Place` line whose job
         // JSON was admitted before skips request parsing and config
         // fingerprinting, and serves straight from the rendered-reply
@@ -712,20 +743,10 @@ impl Reactor {
                     message,
                 })
             }
-            Ok(Request::Hello {
-                id,
-                version,
-                minor: client_minor,
-            }) => Some(if version == PROTOCOL_VERSION {
-                // Negotiate down to what both sides speak; replies to
-                // this connection are masked to that minor from now on.
-                if let Some(Some(conn)) = self.conns.get_mut(slot) {
-                    conn.minor = client_minor.min(PROTOCOL_MINOR_VERSION);
-                }
+            Ok(Request::Hello { id, version }) => Some(if version == PROTOCOL_VERSION {
                 Reply::Hello {
                     id,
                     version: PROTOCOL_VERSION,
-                    minor: PROTOCOL_MINOR_VERSION,
                     server: concat!("qplacer-service/", env!("CARGO_PKG_VERSION")).to_string(),
                 }
             } else {
@@ -741,24 +762,20 @@ impl Reactor {
                 id,
                 metrics: shared.snapshot(),
             }),
-            Ok(Request::Metrics { id }) => Some(if minor < 2 {
-                feature_gate(&shared, id, "metrics", 2)
-            } else {
+            Ok(Request::Metrics { id }) => {
                 let mut text = shared.snapshot().render_prometheus();
                 text.push_str(&qplacer_obs::render_prometheus(qplacer_obs::global()));
-                Reply::MetricsText { id, text }
-            }),
-            Ok(Request::DumpTrace { id }) => Some(if minor < 3 {
-                feature_gate(&shared, id, "dump-trace", 3)
-            } else {
+                Some(Reply::MetricsText { id, text })
+            }
+            Ok(Request::DumpTrace { id }) => {
                 let snapshot = qplacer_obs::event_snapshot();
-                Reply::TraceDump {
+                Some(Reply::TraceDump {
                     id,
                     events: snapshot.events.len() as u64,
                     dropped: snapshot.dropped,
                     chrome_json: qplacer_obs::chrome_trace_json(&snapshot.events),
-                }
-            }),
+                })
+            }
             Ok(Request::Shutdown { id }) => {
                 shared.begin_shutdown();
                 Some(Reply::ShuttingDown { id })
@@ -786,34 +803,20 @@ impl Reactor {
                     slot,
                     generation,
                 }));
-                match handle_place(&shared, id, job, trace_id, port, &mut self.rendered) {
-                    Some(Outbound::Reply(reply)) => self.enqueue_reply(slot, *reply),
-                    Some(Outbound::Line(line)) => self.enqueue_line(slot, line),
-                    None => {}
+                if let Some(line) =
+                    handle_place(&shared, id, job, trace_id, port, &mut self.rendered)
+                {
+                    self.enqueue_line(slot, line);
                 }
                 return;
             }
         };
         if let Some(reply) = reply {
-            self.enqueue_reply(slot, reply);
+            self.enqueue_line(slot, reply.to_line());
         }
     }
 
-    /// Serializes `reply` (masked to the connection's negotiated minor)
-    /// into the connection's write buffer and flushes what the socket
-    /// will take.
-    fn enqueue_reply(&mut self, slot: usize, reply: Reply) {
-        let minor = match self.conns.get(slot) {
-            Some(Some(conn)) => conn.minor,
-            _ => return,
-        };
-        self.enqueue_line(slot, mask_for_minor(reply, minor).to_line());
-    }
-
-    /// Appends a pre-rendered wire line to the connection's write
-    /// buffer. No minor masking: used for cached `Placed` replies, which
-    /// carry `trace_id: null` already and are therefore identical under
-    /// every negotiated minor.
+    /// Appends one wire line to the connection's write buffer.
     ///
     /// Append-only by design — the flush happens once per event batch
     /// ([`Reactor::flush_and_update`]), not per reply. A flush per reply
@@ -863,11 +866,11 @@ impl Reactor {
     }
 
     /// Closes connections that are finished: dead sockets immediately,
-    /// EOF'd peers once their replies are flushed.
+    /// finished readers once their replies are flushed.
     fn reap(&mut self) {
         for slot in 0..self.conns.len() {
             let close = match &self.conns[slot] {
-                Some(conn) => conn.dead || (conn.peer_closed && conn.write_buf.is_empty()),
+                Some(conn) => conn.dead || (conn.read_closed && conn.write_buf.is_empty()),
                 None => false,
             };
             if close {
@@ -903,55 +906,6 @@ fn flush_conn(conn: &mut Conn) {
             }
         }
     }
-}
-
-/// The `bad-request` reply for a feature the connection's negotiated
-/// minor predates.
-fn feature_gate(shared: &Shared, id: u64, feature: &str, since: u32) -> Reply {
-    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-    Reply::Error {
-        id,
-        code: ErrorCode::BadRequest,
-        message: format!("`{feature}` requires protocol minor {since}; negotiate a newer hello"),
-    }
-}
-
-/// Downgrades a reply to what a `minor`-speaking client understands:
-/// pre-minor-3 clients never see `trace_id`, pre-minor-4 clients see
-/// `quota-exceeded` as the `busy` they know.
-fn mask_for_minor(reply: Reply, minor: u32) -> Reply {
-    match reply {
-        Reply::Placed {
-            id,
-            cached,
-            wall_ms,
-            trace_id: _,
-            result,
-        } if minor < 3 => Reply::Placed {
-            id,
-            cached,
-            wall_ms,
-            trace_id: None,
-            result,
-        },
-        Reply::Error { id, code, message } if minor < 4 && code == ErrorCode::QuotaExceeded => {
-            Reply::Error {
-                id,
-                code: ErrorCode::Busy,
-                message,
-            }
-        }
-        other => other,
-    }
-}
-
-/// What the reactor should write for an inline-answered request: a
-/// [`Reply`] to mask and serialize, or a pre-rendered wire line (the
-/// cache-hit fast path, which reuses memoized result JSON instead of
-/// re-serializing the full [`PlacementResult`] on every hit).
-enum Outbound {
-    Reply(Box<Reply>),
-    Line(String),
 }
 
 /// Appends the wire bytes of a cached `Placed` reply — the envelope
@@ -1010,8 +964,9 @@ fn refresh_rendered(
 }
 
 /// Dispatches one placement: served from cache inline (on the reactor
-/// thread), or enqueued for the worker pool. Returns the reply to send
-/// now, if any.
+/// thread), or enqueued for the worker pool. Returns the wire line to
+/// send now, if any: a cache hit reuses the memoized result JSON
+/// instead of re-serializing the full [`PlacementResult`].
 fn handle_place(
     shared: &Arc<Shared>,
     id: u64,
@@ -1019,15 +974,18 @@ fn handle_place(
     trace_id: Option<u64>,
     reply: ReplySender,
     rendered: &mut HashMap<u64, RenderedResult>,
-) -> Option<Outbound> {
+) -> Option<String> {
     let received = Instant::now();
     if shared.shutdown.load(Ordering::SeqCst) {
         shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-        return Some(Outbound::Reply(Box::new(Reply::Error {
-            id,
-            code: ErrorCode::ShuttingDown,
-            message: "server is draining".to_string(),
-        })));
+        return Some(
+            Reply::Error {
+                id,
+                code: ErrorCode::ShuttingDown,
+                message: "server is draining".to_string(),
+            }
+            .to_line(),
+        );
     }
     // Admission: compute the cache key, and reject unplaceable devices
     // (bad parameters, unreadable import, isolated qubits) with a typed
@@ -1048,11 +1006,14 @@ fn handle_place(
             .metrics
             .rejected_invalid_device
             .fetch_add(1, Ordering::Relaxed);
-        Some(Outbound::Reply(Box::new(Reply::Error {
-            id,
-            code: ErrorCode::InvalidDevice,
-            message,
-        })))
+        Some(
+            Reply::Error {
+                id,
+                code: ErrorCode::InvalidDevice,
+                message,
+            }
+            .to_line(),
+        )
     };
     let key = if let qplacer_harness::DeviceSpec::FromJson { path } = &job.device {
         let bytes = match std::fs::read(path) {
@@ -1074,15 +1035,13 @@ fn handle_place(
     if let Some(result) = shared.cache.get(key) {
         shared.metrics.placed.fetch_add(1, Ordering::Relaxed);
         // Cache hits never ran a pipeline under this request, so there
-        // is no timeline to correlate: `trace_id` is `None` by design —
-        // which also makes the rendered line minor-mask stable, so the
-        // memoized bytes below are valid for every negotiated minor.
+        // is no timeline to correlate: `trace_id` is `None` by design.
         refresh_rendered(rendered, key, &result);
-        return Some(Outbound::Line(placed_cached_line(
+        return Some(placed_cached_line(
             id,
             received.elapsed().as_secs_f64() * 1e3,
             &rendered[&key].json,
-        )));
+        ));
     }
     if !matches!(job.device, qplacer_harness::DeviceSpec::FromJson { .. }) {
         if let Err(e) = job.device.try_build() {
@@ -1127,11 +1086,7 @@ fn handle_place(
                 }
                 PushError::Closed => (ErrorCode::ShuttingDown, "server is draining".to_string()),
             };
-            Some(Outbound::Reply(Box::new(Reply::Error {
-                id,
-                code,
-                message,
-            })))
+            Some(Reply::Error { id, code, message }.to_line())
         }
     }
 }

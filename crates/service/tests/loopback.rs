@@ -3,15 +3,17 @@
 //!
 //! Pins down the acceptance criteria: concurrent identical requests get
 //! byte-identical `PlacementResult`s, a second wave is served from
-//! cache (hit counter moves), deadlines and version mismatches surface
-//! as typed errors, and graceful shutdown drains queued jobs.
+//! cache (hit counter moves), deadlines, version mismatches and
+//! oversized lines surface as typed errors, and graceful shutdown
+//! drains queued jobs.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use qplacer_service::{
     ClientBuilder, DeviceSpec, ErrorCode, PlaceJob, Reply, Request, Server, ServiceConfig,
-    ServiceError, Strategy, PROTOCOL_MINOR_VERSION, PROTOCOL_VERSION,
+    ServiceError, Strategy, PROTOCOL_VERSION,
 };
 
 fn start(workers: usize) -> Server {
@@ -102,7 +104,6 @@ fn shutdown_drains_queued_jobs() {
     let hello = Request::Hello {
         id: 1,
         version: PROTOCOL_VERSION,
-        minor: PROTOCOL_MINOR_VERSION,
     };
     writeln!(stream, "{}", hello.to_line()).unwrap();
     let mut line = String::new();
@@ -178,7 +179,6 @@ fn error_paths_are_typed() {
         Request::Hello {
             id: 1,
             version: PROTOCOL_VERSION + 1,
-            minor: 0
         }
         .to_line()
     )
@@ -373,5 +373,49 @@ fn draining_server_refuses_new_work() {
         other => panic!("expected shutting-down error, got {other:?}"),
     }
     client.ping().expect("ping still answers while draining");
+    server.join();
+}
+
+/// A peer streaming bytes with no newline cannot grow the daemon's
+/// memory without bound: past the line cap it gets a typed
+/// `bad-request` and its connection is closed, while other
+/// connections keep being served.
+#[test]
+fn oversized_line_is_refused_and_closed() {
+    let server = start(1);
+    let addr = server.local_addr();
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    // The server stops reading mid-stream, so the write may fail once
+    // it closes the socket; only the reply matters.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("typed refusal arrives");
+    match Reply::parse(line.trim()).unwrap() {
+        Reply::Error { code, id, message } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert_eq!(id, 0);
+            assert!(message.contains("exceeds"), "message was: {message}");
+        }
+        other => panic!("expected bad request, got {other:?}"),
+    }
+    // Closed: EOF, or a reset if the flood was still arriving.
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "no reply may follow the refusal"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+    }
+    flood.join().unwrap();
+
+    let mut client = ClientBuilder::new(addr).connect().expect("connect");
+    client.ping().expect("a second connection is still served");
+    client.shutdown().expect("shutdown");
     server.join();
 }

@@ -113,11 +113,7 @@ fn arb_message() -> impl Strategy<Value = String> {
 fn arb_request() -> impl Strategy<Value = Request> {
     let id = 0u64..1_000_000;
     prop_oneof![
-        (id.clone(), 0u32..4, 0u32..4).prop_map(|(id, version, minor)| Request::Hello {
-            id,
-            version,
-            minor
-        }),
+        (id.clone(), 0u32..4).prop_map(|(id, version)| Request::Hello { id, version }),
         (id.clone(), arb_job(), arb_trace_id()).prop_map(|(id, job, trace_id)| Request::Place {
             id,
             job,
@@ -131,8 +127,8 @@ fn arb_request() -> impl Strategy<Value = Request> {
     ]
 }
 
-/// `None` or a spread-out nonzero id — exercises both the legacy
-/// (absent) and the minor-3 (present) envelope shapes.
+/// `None` or a spread-out nonzero id — exercises both the `null` and
+/// the numeric `trace_id` envelope shapes.
 fn arb_trace_id() -> impl Strategy<Value = Option<u64>> {
     (0u64..4).prop_map(|t| {
         if t == 0 {
@@ -254,10 +250,9 @@ fn arb_metrics() -> impl Strategy<Value = MetricsSnapshot> {
 fn arb_reply() -> impl Strategy<Value = Reply> {
     let id = 0u64..1_000_000;
     prop_oneof![
-        (id.clone(), 0u32..4, arb_message()).prop_map(|(id, minor, server)| Reply::Hello {
+        (id.clone(), arb_message()).prop_map(|(id, server)| Reply::Hello {
             id,
             version: PROTOCOL_VERSION,
-            minor,
             server
         }),
         (
@@ -330,8 +325,8 @@ proptest! {
 /// JSON — only on the parsed content.
 #[test]
 fn cache_key_ignores_json_field_order() {
-    let a = r#"{"Place":{"id":1,"job":{"device":"Falcon27","strategy":"FrequencyAware","profile":"Fast","segment_size_mm":0.3,"deadline_ms":null}}}"#;
-    let b = r#"{"Place":{"job":{"deadline_ms":null,"segment_size_mm":0.3,"profile":"Fast","strategy":"FrequencyAware","device":"Falcon27"},"id":1}}"#;
+    let a = r#"{"Place":{"id":1,"job":{"device":"Falcon27","strategy":"FrequencyAware","profile":"Fast","segment_size_mm":0.3,"deadline_ms":null,"priority":"Normal","tenant":null},"trace_id":null}}"#;
+    let b = r#"{"Place":{"trace_id":null,"job":{"tenant":null,"priority":"Normal","deadline_ms":null,"segment_size_mm":0.3,"profile":"Fast","strategy":"FrequencyAware","device":"Falcon27"},"id":1}}"#;
     let (ja, jb) = match (Request::parse(a).unwrap(), Request::parse(b).unwrap()) {
         (Request::Place { job: ja, .. }, Request::Place { job: jb, .. }) => (ja, jb),
         other => panic!("expected two Place requests, got {other:?}"),

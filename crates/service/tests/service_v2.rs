@@ -1,7 +1,7 @@
 //! Service v2 acceptance: durable-store replay, config-hash
-//! invalidation, minor-version downgrade masking, scheduling (priority
-//! lanes + tenant quotas) over the wire, and consistent-hash sharding
-//! with failover.
+//! invalidation, strict request parsing, scheduling (priority lanes +
+//! tenant quotas) over the wire, and consistent-hash sharding with
+//! failover.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use qplacer_service::{
     ClientBuilder, DeviceSpec, ErrorCode, PlaceJob, Priority, Reply, Request, Server,
-    ServiceConfig, ShardedClient, Strategy, PROTOCOL_VERSION,
+    ServiceConfig, ShardedClient, Strategy,
 };
 
 /// A fresh per-test scratch directory under the system temp dir.
@@ -155,7 +155,7 @@ impl RawConn {
         self.stream.flush().expect("flush");
     }
 
-    /// Sends a raw JSON line (for legacy wire shapes no current
+    /// Sends a raw JSON line (for malformed shapes no current
     /// constructor produces).
     fn send_raw(&mut self, line: &str) {
         writeln!(self.stream, "{line}").expect("send raw");
@@ -175,80 +175,32 @@ impl RawConn {
     }
 }
 
-/// A protocol-minor-1 client against the v4 server: the legacy wire
-/// shape is accepted, newer reply fields are masked, and newer
-/// request kinds are refused as typed errors instead of being
-/// half-understood.
+/// The wire has one version: a `place` line missing a field (here the
+/// envelope's `trace_id`) is refused with a typed error rather than
+/// defaulted, and the connection stays serviceable.
 #[test]
-fn v1_client_downgrade_is_negotiated_and_masked() {
+fn place_without_trace_id_is_a_typed_bad_request() {
     let server = start(ServiceConfig {
         workers: 1,
         ..ServiceConfig::default()
     });
     let mut conn = RawConn::open(server.local_addr());
 
-    // Hello with an old minor under the same major: accepted; the
-    // server reports its own minor so the *client* can mask too.
-    conn.send(&Request::Hello {
-        id: 1,
-        version: PROTOCOL_VERSION,
-        minor: 1,
-    });
-    match conn.recv() {
-        Reply::Hello { version, minor, .. } => {
-            assert_eq!(version, PROTOCOL_VERSION);
-            assert!(minor >= 4);
-        }
-        other => panic!("expected hello, got {other:?}"),
-    }
-
-    // The minor-1 place shape: no `trace_id` on the envelope, no
-    // `priority`/`tenant` on the job.
-    let legacy_place = r#"{"Place":{"id":2,"job":{"device":"Falcon27","strategy":"FrequencyAware","profile":"Fast","segment_size_mm":null,"deadline_ms":null}}}"#;
-    conn.send_raw(legacy_place);
-    let line = conn.recv_line();
-    match Reply::parse(&line).expect("parse placed") {
-        Reply::Placed {
-            id,
-            cached,
-            trace_id,
-            ..
-        } => {
-            assert_eq!(id, 2);
-            assert!(!cached);
-            assert_eq!(
-                trace_id, None,
-                "a pre-minor-3 client must never receive a trace id"
-            );
-        }
-        other => panic!("expected placed, got {other:?}"),
-    }
-
-    // `metrics` (minor 2) and `dump-trace` (minor 3) postdate this
-    // client: typed refusal, not silence.
-    conn.send(&Request::Metrics { id: 3 });
-    match conn.recv() {
-        Reply::Error { id, code, message } => {
-            assert_eq!(id, 3);
-            assert_eq!(code, ErrorCode::BadRequest);
-            assert!(message.contains("minor 2"), "message was: {message}");
-        }
-        other => panic!("expected error, got {other:?}"),
-    }
-    conn.send(&Request::DumpTrace { id: 4 });
+    conn.send_raw(
+        r#"{"Place":{"id":2,"job":{"device":"Falcon27","strategy":"FrequencyAware","profile":"Fast","segment_size_mm":null,"deadline_ms":null,"priority":"Normal","tenant":null}}}"#,
+    );
     match conn.recv() {
         Reply::Error { id, code, .. } => {
-            assert_eq!(id, 4);
+            assert_eq!(id, 0, "an unparsed request has no id to echo");
             assert_eq!(code, ErrorCode::BadRequest);
         }
-        other => panic!("expected error, got {other:?}"),
+        other => panic!("expected bad request, got {other:?}"),
     }
 
-    // The connection is still fully serviceable within its minor.
-    conn.send(&Request::Ping { id: 5 });
-    assert!(matches!(conn.recv(), Reply::Pong { id: 5 }));
-    conn.send(&Request::Shutdown { id: 6 });
-    assert!(matches!(conn.recv(), Reply::ShuttingDown { id: 6 }));
+    conn.send(&Request::Ping { id: 3 });
+    assert!(matches!(conn.recv(), Reply::Pong { id: 3 }));
+    conn.send(&Request::Shutdown { id: 4 });
+    assert!(matches!(conn.recv(), Reply::ShuttingDown { id: 4 }));
     drop(conn);
     server.join();
 }

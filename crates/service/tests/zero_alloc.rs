@@ -40,6 +40,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide, so the tests in this file take turns:
+/// a test running alongside would add its allocations to the other's
+/// measurement windows.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = f();
@@ -55,6 +66,7 @@ use qplacer_topology::Topology;
 
 #[test]
 fn steady_state_worker_pipeline_does_not_allocate() {
+    let _serial = serial();
     let device = Topology::falcon27();
     let config = PipelineConfig::fast();
     let mut ws = PipelineWorkspace::new();
@@ -155,6 +167,7 @@ fn steady_state_worker_pipeline_does_not_allocate() {
 /// a constant envelope for the placer.
 #[test]
 fn traced_steady_state_does_not_allocate() {
+    let _serial = serial();
     let device = Topology::falcon27();
     let config = PipelineConfig::fast();
     let mut ws = PipelineWorkspace::new();

@@ -30,12 +30,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use qplacer::{Qplacer, Strategy};
+//! use qplacer::{ExecOptions, Qplacer, Strategy};
 //! use qplacer_topology::Topology;
 //!
 //! let device = Topology::grid(2, 2);
 //! let engine = Qplacer::fast(); // reduced iteration budget for docs/tests
-//! let layout = engine.place(&device, Strategy::FrequencyAware);
+//! let layout = engine.execute(&device, Strategy::FrequencyAware, ExecOptions::default());
 //! assert_eq!(layout.netlist.overlapping_pairs().len(), 0);
 //! let area = layout.area();
 //! assert!(area.utilization > 0.2);
@@ -105,6 +105,6 @@ pub use qplacer_place::{GlobalPlacer, PlacementReport, PlacerConfig};
 pub use qplacer_service::{
     ClientBuilder, FleetBatch, MetricsSnapshot, PlaceJob, PlacementResult, Priority, Server,
     ServiceClient, ServiceConfig, ServiceError, ShardedClient, TraceDumpReply, TracePolicy,
-    PROTOCOL_MINOR_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 pub use qplacer_topology::{DefectMap, Topology, TopologyDelta};
