@@ -258,8 +258,7 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if the thread pool cannot be built (never happens with the
-    /// vendored rayon stand-in).
+    /// Panics if the OS refuses to start the pool's helper threads.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let pool = rayon::ThreadPoolBuilder::new()

@@ -70,8 +70,8 @@ pub(crate) struct SearchScratch {
     /// Current block of spiral candidates under scoring.
     pub(crate) block: Vec<Point>,
     /// Whether candidate scoring should fan across the rayon pool.
-    /// Snapshotted once per run — `rayon::current_num_threads()` can hit
-    /// an `available_parallelism` syscall, far too slow per candidate.
+    /// Snapshotted once per run: the pool cannot change mid-run, and the
+    /// per-block scan then reads a plain field.
     pub(crate) parallel: bool,
 }
 
@@ -169,15 +169,16 @@ where
     }
     // Small blocks (and single-worker pools) score sequentially with
     // early exit — equivalent to the minimum accepted index, without the
-    // fan-out overhead. The threshold is deliberately high: the vendored
-    // rayon spawns scoped OS threads per call, so a fan-out only pays for
-    // itself on the large crowded-region blocks.
+    // fan-out overhead. The threshold is deliberately high: each fan-out
+    // wakes parked pool threads, so it only pays for itself on the large
+    // crowded-region blocks.
     if !parallel || cands.len() < 256 {
         return cands.iter().position(|c| accept(c, query));
     }
     std::thread_local! {
-        /// Worker-local query buffer for the parallel scoring path —
-        /// one allocation per worker thread, not per candidate.
+        /// Worker-local query buffer for the parallel scoring path. Pool
+        /// threads persist, so it grows to its peak once per thread and
+        /// is reused by every later scan.
         static WORKER_QUERY: std::cell::RefCell<Vec<usize>> =
             const { std::cell::RefCell::new(Vec::new()) };
     }

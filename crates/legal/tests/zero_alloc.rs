@@ -5,9 +5,9 @@
 //! the allocator.
 //!
 //! A counting global allocator wraps the system allocator; the runs
-//! execute under a 1-thread rayon pool — with a wider pool the large
-//! candidate scans spawn scoped worker threads, whose stacks and
-//! worker-local query buffers are runtime, not kernel, allocations.
+//! execute under a 1-thread rayon pool (everything inline) and under a
+//! 2-thread pool, whose parked helper takes parts of the parallel
+//! candidate scans.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,27 +70,30 @@ fn steady_state_legalization_does_not_allocate() {
     let legalizer = Legalizer::default();
     let mut ws = LegalWorkspace::new();
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool builds");
-    pool.install(|| {
-        // Warm-up: size every workspace buffer.
-        let warm = legalizer.run_with(&mut nl, &mut ws);
-        assert_eq!(warm.remaining_overlaps, 0);
-        // The steady-state claim covers the successful-integration path;
-        // a resonator left fragmented would (rightly) allocate its entry
-        // in the report's unintegrated list.
-        assert_eq!(warm.integrated_after, warm.resonator_count);
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool builds");
+        pool.install(|| {
+            // Warm-up: size every workspace buffer.
+            nl.set_positions(&placed);
+            let warm = legalizer.run_with(&mut nl, &mut ws);
+            assert_eq!(warm.remaining_overlaps, 0);
+            // The steady-state claim covers the successful-integration
+            // path; a resonator left fragmented would (rightly) allocate
+            // its entry in the report's unintegrated list.
+            assert_eq!(warm.integrated_after, warm.resonator_count);
 
-        nl.set_positions(&placed);
-        let (count, report) = allocations(|| legalizer.run_with(&mut nl, &mut ws));
-        assert_eq!(report.remaining_overlaps, 0);
-        assert_eq!(
-            count, 0,
-            "steady-state Legalizer::run_with allocated {count} times"
-        );
-    });
+            nl.set_positions(&placed);
+            let (count, report) = allocations(|| legalizer.run_with(&mut nl, &mut ws));
+            assert_eq!(report.remaining_overlaps, 0);
+            assert_eq!(
+                count, 0,
+                "{threads} threads: steady-state Legalizer::run_with allocated {count} times"
+            );
+        });
+    }
 }
 
 #[test]
@@ -101,16 +104,18 @@ fn steady_state_frequency_assignment_does_not_allocate() {
     let mut ws = FreqWorkspace::default();
     let mut out = assigner.assign_with(&t, &mut ws); // warm-up sizes everything
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool builds");
-    pool.install(|| {
-        let (count, ()) = allocations(|| assigner.assign_into(&t, &mut ws, &mut out));
-        assert_eq!(
-            count, 0,
-            "steady-state FrequencyAssigner::assign_into allocated {count} times"
-        );
-    });
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool builds");
+        pool.install(|| {
+            let (count, ()) = allocations(|| assigner.assign_into(&t, &mut ws, &mut out));
+            assert_eq!(
+                count, 0,
+                "{threads} threads: steady-state FrequencyAssigner::assign_into allocated {count} times"
+            );
+        });
+    }
     assert_eq!(out, assigner.assign(&t));
 }

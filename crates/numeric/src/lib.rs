@@ -33,10 +33,9 @@
 //!    performs **zero heap allocations** on any grid size and fans
 //!    row passes across the current rayon pool width. Row results are
 //!    computed independently, so outputs are bit-identical for any
-//!    thread count. (Under a pool wider than one worker, the scoped
-//!    worker threads themselves cost runtime thread-stack allocations —
-//!    the strict zero-allocation steady state holds on a 1-thread pool,
-//!    matching the vendored rayon's own spawn-per-call model.)
+//!    thread count, and handing a band of rows to a parked pool thread
+//!    allocates nothing, so the zero-allocation steady state holds at
+//!    any pool width.
 //!
 //! Every positive length is planned in O(n log n): power-of-two lengths
 //! on the radix-2 kernel, other 2/3/5-smooth lengths on the mixed-radix

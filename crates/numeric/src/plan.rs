@@ -14,10 +14,10 @@
 //!   buffer using caller-provided complex scratch (sized by
 //!   [`FftPlan::scratch_len`]), performing **zero heap allocations**.
 //! * [`SpectralPlan`] — a 2-D separable-transform plan over an
-//!   `nx × ny` grid. Row passes run in parallel on scoped threads (one
-//!   scratch slot per worker, pre-sized in [`SpectralScratch`]), honoring
-//!   the rayon pool installed by the caller: under a 1-thread pool the
-//!   pass is sequential and allocation-free.
+//!   `nx × ny` grid. Row passes run in parallel on the rayon pool
+//!   installed by the caller (one scratch slot per worker, pre-sized in
+//!   [`SpectralScratch`]); under a 1-thread pool the pass is sequential.
+//!   Either way it is allocation-free.
 //! * [`fft_plan`] — a process-wide plan cache so the legacy free
 //!   functions also stop recomputing twiddles per call.
 //!
@@ -26,6 +26,8 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+
+use rayon::prelude::*;
 
 use crate::{Array2, Complex64};
 
@@ -747,16 +749,14 @@ fn transpose_into(src: &[f64], dst: &mut [f64], nx: usize, ny: usize) {
     }
 }
 
-/// Applies `op` to every contiguous length-`n` row of `data`, fanning
-/// bands of rows across scoped worker threads (at most one per scratch
-/// slot). With an effective width of 1 the pass runs inline and performs
-/// no allocation at all.
+/// Applies `op` to every contiguous length-`n` row of `data`, one band
+/// of rows per worker of the current rayon pool (at most one per scratch
+/// slot), each band with its own slot. With an effective width of 1 the
+/// pass is one band run inline; at any width it performs no allocation.
 ///
-/// Scoped spawns (rather than pool tasks) are deliberate: the vendored
-/// rayon has no persistent workers and cannot lend out disjoint `&mut`
-/// row bands, and its depth-1 nesting contract reports a width of 1
-/// inside pool workers — so harness jobs running under an installed pool
-/// take the inline path here and never oversubscribe the machine.
+/// Inside a pool worker the depth-1 nesting contract reports a width of
+/// 1, so harness jobs running under an installed pool take the inline
+/// path here and never oversubscribe the machine.
 fn par_rows(
     plan: &FftPlan,
     data: &mut [f64],
@@ -768,23 +768,14 @@ fn par_rows(
     let rows = data.len() / n;
     let slots = complex.len() / slot_len;
     let threads = rayon::current_num_threads().min(rows).min(slots).max(1);
-    if threads <= 1 {
-        let scratch = &mut complex[..slot_len];
-        for row in data.chunks_exact_mut(n) {
-            plan.apply_row(op, row, scratch);
-        }
-        return;
-    }
-    let band = rows.div_ceil(threads) * n;
-    std::thread::scope(|scope| {
-        for (band_data, slot) in data.chunks_mut(band).zip(complex.chunks_mut(slot_len)) {
-            scope.spawn(move || {
-                for row in band_data.chunks_exact_mut(n) {
-                    plan.apply_row(op, row, slot);
-                }
-            });
-        }
-    });
+    let band = (rows.div_ceil(threads) * n).max(1);
+    data.par_chunks_mut(band)
+        .zip(complex.par_chunks_mut(slot_len))
+        .for_each(|(band_data, slot)| {
+            for row in band_data.chunks_exact_mut(n) {
+                plan.apply_row(op, row, slot);
+            }
+        });
 }
 
 #[cfg(test)]

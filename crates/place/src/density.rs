@@ -10,6 +10,7 @@
 use qplacer_geometry::{Point, Rect};
 use qplacer_netlist::QuantumNetlist;
 use qplacer_numeric::{is_fast_path, Array2, PoissonField, PoissonSolver, SpectralScratch};
+use rayon::prelude::*;
 
 /// Fixed number of deposition bands: instances are split into this many
 /// contiguous id-ranges whose charge maps are accumulated independently
@@ -148,18 +149,10 @@ impl DensityModel {
                 self.splat(band, &rect);
             }
         };
-        if rayon::current_num_threads() <= 1 {
-            for (band, chunk) in ws.bands.iter_mut().zip(instances.chunks(band_len)) {
-                deposit(band, chunk);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let deposit = &deposit;
-                for (band, chunk) in ws.bands.iter_mut().zip(instances.chunks(band_len)) {
-                    scope.spawn(move || deposit(band, chunk));
-                }
-            });
-        }
+        ws.bands
+            .par_iter_mut()
+            .zip(instances.par_chunks(band_len))
+            .for_each(|(band, chunk)| deposit(band, chunk));
         let used_bands = instances.len().div_ceil(band_len).min(DEPOSIT_BANDS);
         ws.rho.fill_zero();
         for band in &ws.bands[..used_bands] {
@@ -360,33 +353,21 @@ impl DensityModel {
 
         let (grad_x, grad_y) = grad.split_at_mut(n);
         let threads = rayon::current_num_threads().min(instances.len()).max(1);
-        if threads <= 1 {
-            for inst in instances {
-                let id = inst.id();
-                gather(inst, &mut grad_x[id], &mut grad_y[id]);
-            }
-        } else {
-            let band = instances.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let gather = &gather;
-                for (b, ((chunk, gx), gy)) in instances
-                    .chunks(band)
-                    .zip(grad_x.chunks_mut(band))
-                    .zip(grad_y.chunks_mut(band))
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        for (k, ((inst, gx_i), gy_i)) in chunk.iter().zip(gx).zip(gy).enumerate() {
-                            // Gradient slots are addressed positionally;
-                            // this pins the instances-are-id-ordered
-                            // invariant the addressing relies on.
-                            debug_assert_eq!(inst.id(), b * band + k);
-                            gather(inst, gx_i, gy_i);
-                        }
-                    });
+        let band = instances.len().div_ceil(threads).max(1);
+        instances
+            .par_chunks(band)
+            .zip(grad_x.par_chunks_mut(band))
+            .zip(grad_y.par_chunks_mut(band))
+            .enumerate()
+            .for_each(|(b, ((chunk, gx), gy))| {
+                for (k, ((inst, gx_i), gy_i)) in chunk.iter().zip(gx).zip(gy).enumerate() {
+                    // Gradient slots are addressed positionally; this
+                    // pins the instances-are-id-ordered invariant the
+                    // addressing relies on.
+                    debug_assert_eq!(inst.id(), b * band + k);
+                    gather(inst, gx_i, gy_i);
                 }
             });
-        }
         if let (Some(p), Some(start)) = (phases, phase_start) {
             p.gather_ns = start.elapsed().as_nanos() as u64;
         }

@@ -3,7 +3,9 @@
 //! produce *identical* final positions. Charge deposition reduces a
 //! fixed band structure in fixed order, transform rows and field
 //! gathers are computed independently per row/instance, so no floating-
-//! point reassociation depends on the worker count.
+//! point reassociation depends on the worker count — nor on which
+//! thread runs a part, which pool reuse and the busy-pool inline path
+//! (two placements sharing one pool) exercise.
 
 use qplacer_freq::FrequencyAssigner;
 use qplacer_netlist::{NetlistConfig, QuantumNetlist};
@@ -16,28 +18,75 @@ fn build(t: &Topology) -> QuantumNetlist {
 }
 
 fn run_at(threads: usize) -> (QuantumNetlist, usize) {
-    let t = Topology::grid(3, 3);
-    let mut nl = build(&t);
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("pool builds");
+    place_on(&pool)
+}
+
+/// A paper-config placement of a 3×3 grid under `pool`.
+fn place_on(pool: &rayon::ThreadPool) -> (QuantumNetlist, usize) {
+    let t = Topology::grid(3, 3);
+    let mut nl = build(&t);
     // Paper configuration with the auto-picked (power-of-two) bin grid.
     let report = pool
         .install(|| GlobalPlacer::new(PlacerConfig::paper()).execute(&mut nl, Default::default()));
     (nl, report.iterations)
 }
 
+fn assert_same(reference: &(QuantumNetlist, usize), other: &(QuantumNetlist, usize), what: &str) {
+    assert_eq!(reference.1, other.1, "iteration counts diverged: {what}");
+    assert_eq!(
+        reference.0.positions(),
+        other.0.positions(),
+        "final positions diverged: {what}"
+    );
+}
+
 #[test]
 fn paper_config_placement_is_identical_at_1_vs_n_threads() {
-    let (nl_1, iters_1) = run_at(1);
-    let (nl_n, iters_n) = run_at(4);
-    assert_eq!(iters_1, iters_n, "iteration counts diverged");
-    assert_eq!(
-        nl_1.positions(),
-        nl_n.positions(),
-        "final positions diverged between 1 and 4 threads"
-    );
+    assert_same(&run_at(1), &run_at(4), "1 vs 4 threads");
+}
+
+#[test]
+fn back_to_back_placements_on_one_pool_match_one_thread() {
+    let reference = run_at(1);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool builds");
+    // The second placement runs on helpers parked by the first.
+    assert_same(&reference, &place_on(&pool), "first run on a 2-thread pool");
+    assert_same(&reference, &place_on(&pool), "second run on the same pool");
+}
+
+#[test]
+fn concurrent_placements_on_one_pool_match_one_thread() {
+    let reference = run_at(1);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool builds");
+    // Two OS threads share the pool: whenever one owns it, the other's
+    // kernel calls find it busy and run inline on their own thread.
+    let start = std::sync::Barrier::new(2);
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    place_on(&pool)
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("placement thread panicked"))
+            .collect()
+    });
+    for (k, result) in results.iter().enumerate() {
+        assert_same(&reference, result, &format!("concurrent run {k}"));
+    }
 }
 
 #[test]

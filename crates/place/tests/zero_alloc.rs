@@ -3,10 +3,11 @@
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up call (which may fault in lazily-built plan-cache entries),
-//! every `*_into` kernel is re-run under a 1-thread rayon pool and the
-//! allocation counter must not move. The 1-thread pool matters: with a
-//! wider pool the kernels spawn scoped worker threads, whose stacks are
-//! runtime (not kernel) allocations.
+//! every `*_into` kernel is re-run and the allocation counter must not
+//! move. The kernels run under a 1-thread pool (everything inline) and
+//! under a 2-thread pool, whose parked helper takes parts of the
+//! deposit, Poisson row passes and gather: handing work to a helper
+//! must not allocate either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,27 +63,49 @@ fn steady_state_kernels_do_not_allocate() {
     let mut ws = density.workspace();
     let mut grad = vec![0.0; 2 * n];
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool builds");
-    pool.install(|| {
-        // Warm-up: populate the process-wide FFT plan cache.
-        let _ = wl.energy_grad_into(&nl, &positions, &mut grad);
-        let _ = density.energy_grad_into(&nl, &positions, &mut grad, &mut ws);
-        let _ = freq.energy_grad_into(&positions, &mut grad);
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool builds");
+        pool.install(|| {
+            // Warm-up: populate the process-wide FFT plan cache.
+            let _ = wl.energy_grad_into(&nl, &positions, &mut grad);
+            let _ = density.energy_grad_into(&nl, &positions, &mut grad, &mut ws);
+            density.grad_into(&nl, &positions, &mut grad, &mut ws);
+            let _ = freq.energy_grad_into(&positions, &mut grad);
 
-        let (count, _) = allocations(|| wl.energy_grad_into(&nl, &positions, &mut grad));
-        assert_eq!(count, 0, "wirelength kernel allocated {count} times");
+            let (count, _) = allocations(|| wl.energy_grad_into(&nl, &positions, &mut grad));
+            assert_eq!(
+                count, 0,
+                "{threads} threads: wirelength kernel allocated {count} times"
+            );
 
-        let (count, _) =
-            allocations(|| density.energy_grad_into(&nl, &positions, &mut grad, &mut ws));
-        assert_eq!(count, 0, "density kernel allocated {count} times");
+            let (count, _) =
+                allocations(|| density.energy_grad_into(&nl, &positions, &mut grad, &mut ws));
+            assert_eq!(
+                count, 0,
+                "{threads} threads: density kernel allocated {count} times"
+            );
 
-        let (count, _) = allocations(|| freq.energy_grad_into(&positions, &mut grad));
-        assert_eq!(count, 0, "frequency kernel allocated {count} times");
+            let (count, ()) =
+                allocations(|| density.grad_into(&nl, &positions, &mut grad, &mut ws));
+            assert_eq!(
+                count, 0,
+                "{threads} threads: density gradient allocated {count} times"
+            );
 
-        let (count, _) = allocations(|| density.overflow_with(&nl, &positions, &mut ws));
-        assert_eq!(count, 0, "overflow scan allocated {count} times");
-    });
+            let (count, _) = allocations(|| freq.energy_grad_into(&positions, &mut grad));
+            assert_eq!(
+                count, 0,
+                "{threads} threads: frequency kernel allocated {count} times"
+            );
+
+            let (count, _) = allocations(|| density.overflow_with(&nl, &positions, &mut ws));
+            assert_eq!(
+                count, 0,
+                "{threads} threads: overflow scan allocated {count} times"
+            );
+        });
+    }
 }

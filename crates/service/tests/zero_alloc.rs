@@ -71,8 +71,9 @@ fn steady_state_worker_pipeline_does_not_allocate() {
     let config = PipelineConfig::fast();
     let mut ws = PipelineWorkspace::new();
 
-    // The 1-thread pool matters: wider pools spawn scoped worker
-    // threads whose stacks are runtime, not kernel, allocations.
+    // A 1-thread pool keeps every stage on this thread; the place and
+    // legal crates' zero-alloc tests cover their kernels on a 2-thread
+    // pool.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
