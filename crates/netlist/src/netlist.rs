@@ -189,7 +189,9 @@ impl QuantumNetlist {
     /// Builds each instance's *frequency collision map*: the other
     /// instances within Δc of its frequency, excluding members of the same
     /// resonator (Eq. 10's Kronecker-delta exclusion). The placement
-    /// engine iterates these lists instead of all pairs (§IV-C1).
+    /// engine's frequency force acts on exactly these pairs instead of
+    /// all pairs (§IV-C1), derived from frequency bands rather than
+    /// from these lists.
     #[must_use]
     pub fn collision_map(&self) -> Vec<Vec<usize>> {
         let n = self.instances.len();

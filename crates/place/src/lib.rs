@@ -8,7 +8,8 @@
 //!   below the target density via a spectrally-solved Poisson system,
 //! * the novel **frequency repulsion** penalty `λ_f·F(x, y)` — a 1/d²
 //!   force acting only between near-resonant instances from different
-//!   resonators (Eqs. 9–10), iterated over precomputed collision maps.
+//!   resonators (Eqs. 9–10), swept band by band over the collision
+//!   map's partners ([`FrequencyForce`]).
 //!
 //! Minimization uses Nesterov acceleration with Barzilai–Borwein steps;
 //! both penalty weights grow geometrically so the engine glides from
@@ -51,5 +52,6 @@ mod wirelength;
 
 pub use density::{DensityModel, DensityPhaseNs, DensityWorkspace};
 pub use freqforce::FrequencyForce;
+pub use multilevel::coarsen_hierarchy;
 pub use placer::{ExecOptions, GlobalPlacer, PlacementReport, PlacerConfig, PlacerWorkspace};
 pub use wirelength::{exact_hpwl, WirelengthModel};

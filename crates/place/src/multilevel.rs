@@ -236,6 +236,38 @@ fn project(
     }
 }
 
+/// The coarsening phase of the multilevel V-cycle: contracts `netlist`
+/// up to `levels - 1` times by heavy-edge matching, stopping early once
+/// a level is small or matching stalls.
+///
+/// Returns the coarse netlists, finest first, and beside each the
+/// instance → cluster map that produced it from the level above
+/// (`netlist` itself for the first). Both are empty when nothing
+/// coarsens.
+#[must_use]
+pub fn coarsen_hierarchy(
+    netlist: &QuantumNetlist,
+    levels: usize,
+) -> (Vec<QuantumNetlist>, Vec<Vec<usize>>) {
+    let mut netlists: Vec<QuantumNetlist> = Vec::new();
+    let mut maps: Vec<Vec<usize>> = Vec::new();
+    for _ in 1..levels {
+        let src: &QuantumNetlist = netlists.last().unwrap_or(netlist);
+        let n = src.num_instances();
+        if n <= MIN_COARSE_INSTANCES {
+            break;
+        }
+        let (cluster_of, clusters) = heavy_edge_clusters(src);
+        if (clusters as f64) > MIN_SHRINK * n as f64 {
+            break;
+        }
+        let coarse = src.coarsen(&cluster_of, clusters);
+        netlists.push(coarse);
+        maps.push(cluster_of);
+    }
+    (netlists, maps)
+}
+
 /// The multilevel V-cycle. Called from [`GlobalPlacer::execute`]
 /// when `config.levels > 1`; coarse and intermediate levels run
 /// untraced (`sink` only sees the final full-resolution refinement, so
@@ -251,30 +283,12 @@ pub(crate) fn run_multilevel(
     let start = Instant::now();
     let _span = qplacer_obs::span!("multilevel_place", levels = cfg.levels as u64);
 
-    // Coarsening phase: contract up to `levels - 1` times, stopping
-    // early when the graph is small or matching stalls.
     let (mut netlists, maps) = {
         let _span = qplacer_obs::span!(
             "multilevel_coarsen",
             instances = netlist.num_instances() as u64
         );
-        let mut netlists: Vec<QuantumNetlist> = Vec::new();
-        let mut maps: Vec<Vec<usize>> = Vec::new();
-        for _ in 1..cfg.levels {
-            let src: &QuantumNetlist = netlists.last().unwrap_or(netlist);
-            let n = src.num_instances();
-            if n <= MIN_COARSE_INSTANCES {
-                break;
-            }
-            let (cluster_of, clusters) = heavy_edge_clusters(src);
-            if (clusters as f64) > MIN_SHRINK * n as f64 {
-                break;
-            }
-            let coarse = src.coarsen(&cluster_of, clusters);
-            netlists.push(coarse);
-            maps.push(cluster_of);
-        }
-        (netlists, maps)
+        coarsen_hierarchy(netlist, cfg.levels)
     };
 
     let flat_cfg = PlacerConfig { levels: 1, ..cfg };
