@@ -43,7 +43,8 @@ impl HumanLayout {
         // Channel width D per the paper's formula D = L·d_r/(L_q + 2d_q),
         // widened when the padded segment blocks demand more area than the
         // bare strip (both comparison arms then pay the same per-segment
-        // padding convention — see DESIGN.md).
+        // padding convention, so the area ratio compares layouts, not
+        // padding rules).
         let denom = config.qubit_size_mm + 2.0 * config.qubit_padding_mm;
         let mean_channel_area = (0..topology.num_edges())
             .map(|e| {

@@ -1,4 +1,5 @@
-//! Ablation study over QPlacer's design choices (DESIGN.md §3):
+//! Ablation study over QPlacer's design choices, one knob at a time on
+//! Falcon:
 //!
 //! 1. frequency-force weight (0 = Classic … strong),
 //! 2. legalizer resonance awareness (strict-τ margin on/off),

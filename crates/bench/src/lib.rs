@@ -2,14 +2,14 @@
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (§VI); this library hosts the shared experiment
-//! drivers so binaries stay thin. See `DESIGN.md` §4 for the
-//! experiment-to-binary index and `EXPERIMENTS.md` for recorded results.
+//! drivers so binaries stay thin. Binaries are named after what they
+//! regenerate (`fig11_fidelity` is Fig. 11, `tab02_runtime` Table II);
+//! the README's "Regenerating the evaluation" section shows how to run
+//! them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod perf;
 pub mod runner;
 
-pub use perf::{check_doc, compare_docs, BenchDoc, BenchEntry, CompareReport, KernelDelta};
 pub use runner::{run_all_strategies, StrategyOutcome};

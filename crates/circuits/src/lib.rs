@@ -4,8 +4,9 @@
 //! each benchmark is generated as a logical circuit, mapped onto a
 //! connected subset of physical qubits, routed to respect the device
 //! coupling graph, lightly optimized (the paper uses Qiskit's L3 preset;
-//! we substitute a peephole pass — see `DESIGN.md`), and scheduled so the
-//! error model knows how long each qubit is busy and idle.
+//! Qiskit is not available to a pure-Rust build, so we substitute a
+//! peephole pass), and scheduled so the error model knows how long each
+//! qubit is busy and idle.
 //!
 //! * [`Gate`] / [`Circuit`] — the gate set and circuit container.
 //! * [`generators`] — BV, QAOA, Ising, QGAN (Table I benchmarks) plus

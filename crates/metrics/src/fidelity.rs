@@ -9,8 +9,9 @@
 //! * `ε_g` — crosstalk between spatially violating qubit pairs: parasitic
 //!   coupling at the pair's clearance, detuning-reduced, driving Rabi
 //!   transitions over the exposure window (Eq. 16; we use the physically
-//!   consistent `ε = sin²(g_eff·t)` averaged over the dephased window —
-//!   see `DESIGN.md` for the Eq. 16 sign note).
+//!   consistent `ε = sin²(g_eff·t)` averaged over the dephased window;
+//!   the printed `ε = 1 − sin(gt)²` is 1 at `t = 0`, see
+//!   `qplacer_physics::error`).
 //! * `ε_r` — crosstalk between violating resonator segments, with
 //!   parasitic capacitance proportional to the adjacent length, applied
 //!   when the affected resonator (or a violating partner) is active.

@@ -5,7 +5,7 @@
 //!   formula `Pr[t] = sin²(g_eff·t)` (§V-C). The paper's Eq. 16 prints
 //!   `ε = 1 − sin(gt)²`, which is 1 at `t = 0` and contradicts the stated
 //!   transition probability; we implement the physical form
-//!   `ε = sin²(g_eff·t)` (see `DESIGN.md`).
+//!   `ε = sin²(g_eff·t)`.
 //! * **Decoherence**: amplitude/phase damping over a duration `t`:
 //!   `ε = 1 − exp(-t/T1)·exp(-t/T2)` folded into per-gate and idle errors.
 

@@ -5,8 +5,8 @@
 //! couplings, and the error channels that the fidelity metric (Eq. 15)
 //! integrates. The paper derives these from the Jaynes–Cummings
 //! Hamiltonian and Qiskit-Metal EM simulation; here every relationship is
-//! an explicit, documented analytic model (see `DESIGN.md` for the
-//! substitution rationale).
+//! an explicit, documented analytic model, so the whole pipeline builds
+//! and runs offline without an EM solver or a Hamiltonian simulator.
 //!
 //! * [`Frequency`] — strongly-typed GHz values with detuning helpers.
 //! * [`Transmon`] / [`Resonator`] — component models (geometry,

@@ -16,12 +16,14 @@
 //!   holds every socket open until all N replied — the C10K smoke for
 //!   the event-driven wire loop. Prints a greppable
 //!   `connections verdict: …` line.
-//! - **`--shards K`**: starts K in-process daemons behind a
-//!   consistent-hash [`ShardedClient`] and hammers them from 4 client
-//!   threads. With `--chaos`, shard 0 is killed mid-run; every
-//!   placement must still be acked (retried onto survivors) and the
-//!   survivors must serve every key afterwards. Prints a greppable
-//!   `chaos verdict: …` line.
+//! - **`--shards K`** (K ≥ 2): starts K in-process daemons behind a
+//!   consistent-hash [`ShardedClient`] and checks that the fleet serves
+//!   cached jobs at least 2× as fast as one daemon does. Prints a
+//!   greppable `sharded verdict: …` line.
+//! - **`--shards K --chaos`**: hammers the K daemons from 4 client
+//!   threads and kills shard 0 mid-run; every placement must still be
+//!   acked (retried onto survivors) and the survivors must serve every
+//!   key afterwards. Prints a greppable `chaos verdict: …` line.
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,8 +52,17 @@ fn main() {
         run_serve_internal();
     } else if let Some(connections) = flag("--connections") {
         run_connections(connections);
-    } else if let Some(shards) = flag("--shards") {
-        run_sharded(shards, args.iter().any(|a| a == "--chaos"));
+    } else if args.iter().any(|a| a == "--shards") {
+        // Both the speedup check and the chaos kill need two shards.
+        let Some(shards) = flag("--shards").filter(|&k| k >= 2) else {
+            eprintln!("error: --shards needs a shard count of at least 2");
+            std::process::exit(2);
+        };
+        if args.iter().any(|a| a == "--chaos") {
+            run_chaos(shards);
+        } else {
+            run_sharded(shards);
+        }
     } else {
         let positional: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
         let threads = positional.first().copied().unwrap_or(4);
@@ -282,12 +293,9 @@ fn run_connections(total: usize) {
     assert_eq!(verdict, "PASS");
 }
 
-/// Sharded mode: K daemons behind consistent hashing; with `chaos`,
-/// shard 0 dies mid-run and no acked placement may be lost.
-fn run_sharded(shards: usize, chaos: bool) {
-    const CLIENT_THREADS: usize = 4;
-    const ROUNDS: usize = 24;
-
+/// Starts `shards` single-worker daemons on ephemeral loopback ports,
+/// each told its place in the fleet.
+fn start_fleet(shards: usize) -> (Vec<Server>, Vec<String>) {
     let servers: Vec<Server> = (0..shards)
         .map(|shard_id| {
             Server::start(ServiceConfig {
@@ -299,11 +307,136 @@ fn run_sharded(shards: usize, chaos: bool) {
             .expect("bind shard")
         })
         .collect();
-    let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    (servers, addrs)
+}
+
+/// Sharded mode: aggregate cached RPS of K shards against one daemon.
+///
+/// The baseline is one blocking client ping-ponging a cached Falcon job
+/// against one daemon. The fleet is hammered with a cached ring working
+/// set that spans the hash ring by 2 clients, each keeping two 64-job
+/// batches in flight through `ShardedClient::submit_many`/`gather` —
+/// scatter the next batch before draining the previous one — so a round
+/// costs roughly one wakeup per shard instead of one blocking round trip
+/// per job. That gap is the capacity the fleet plus the pipelined client
+/// API exist to buy, so the fleet must serve at least 2× the baseline.
+/// The fleet takes the best of three windows: on a single-core host a
+/// scheduler stall inside one window is noise, not capacity.
+fn run_sharded(shards: usize) {
+    const MIN_SPEEDUP: f64 = 2.0;
+    const CLIENTS: usize = 2;
+    const WINDOWS: usize = 3;
+    const BATCH_REPEAT: usize = 8;
+    const WINDOW: Duration = Duration::from_millis(250);
+
+    let single_rps = {
+        let server = Server::start(ServiceConfig::default()).expect("bind loopback");
+        let mut client = ClientBuilder::new(server.local_addr())
+            .connect()
+            .expect("connect");
+        let job = falcon_job();
+        let warm = client.place(&job).expect("warm the cache");
+        assert_eq!(warm.result.remaining_overlaps, 0);
+        client.place(&job).expect("warm the reply path");
+        let start = Instant::now();
+        let mut done = 0usize;
+        while done < 50 || start.elapsed() < Duration::from_millis(50) {
+            let reply = client.place(&job).expect("cached place");
+            assert!(reply.cached, "steady-state replies must come from cache");
+            done += 1;
+        }
+        let rps = done as f64 / start.elapsed().as_secs_f64();
+        client.shutdown().expect("shutdown");
+        server.join();
+        rps
+    };
+
+    let (servers, addrs) = start_fleet(shards);
+    println!("{shards} shards on {addrs:?}; {CLIENTS} pipelined clients");
+    let base: Vec<PlaceJob> = (3..11)
+        .map(|qubits| PlaceJob::fast(DeviceSpec::Ring { qubits }, Strategy::FrequencyAware))
+        .collect();
+    let jobs: Vec<PlaceJob> = std::iter::repeat_with(|| base.iter().cloned())
+        .take(BATCH_REPEAT)
+        .flatten()
+        .collect();
+    let mut warm = ShardedClient::connect(&addrs);
+    for job in &base {
+        warm.place(job).expect("warm shard caches");
+    }
+    let owners: std::collections::BTreeSet<usize> =
+        base.iter().filter_map(|job| warm.shard_for(job)).collect();
+    assert!(owners.len() >= 2, "working set must span multiple shards");
+
+    let mut fleet_rps = 0.0f64;
+    for _ in 0..WINDOWS {
+        let barrier = Arc::new(Barrier::new(CLIENTS + 1));
+        let requests = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let addrs = addrs.clone();
+                let jobs = jobs.clone();
+                let barrier = Arc::clone(&barrier);
+                let requests = Arc::clone(&requests);
+                std::thread::spawn(move || {
+                    let mut fleet = ShardedClient::connect(&addrs);
+                    for job in &jobs {
+                        fleet.place(job).expect("connect + warm client");
+                    }
+                    barrier.wait();
+                    let deadline = Instant::now() + WINDOW;
+                    let mut done = 0usize;
+                    let mut inflight = fleet.submit_many(&jobs).expect("seed pipelined batch");
+                    while Instant::now() < deadline {
+                        let next = fleet.submit_many(&jobs).expect("sharded cached batch");
+                        let replies = fleet.gather(&jobs, inflight).expect("gather cached batch");
+                        for reply in &replies {
+                            assert!(reply.cached, "steady-state replies must come from cache");
+                        }
+                        done += replies.len();
+                        inflight = next;
+                    }
+                    done += fleet.gather(&jobs, inflight).expect("drain batch").len();
+                    requests.fetch_add(done, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        barrier.wait();
+        let start = Instant::now();
+        for handle in handles {
+            handle.join().expect("sharded client thread");
+        }
+        let rps = requests.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64();
+        fleet_rps = fleet_rps.max(rps);
+    }
+
+    let speedup = fleet_rps / single_rps;
+    let verdict = if speedup >= MIN_SPEEDUP {
+        "PASS"
+    } else {
+        "FAIL"
+    };
     println!(
-        "{shards} shards on {addrs:?}; {CLIENT_THREADS} clients x {ROUNDS} rounds{}",
-        if chaos { " with chaos" } else { "" }
+        "sharded verdict: {verdict} (single {single_rps:.0} req/s, {shards} shards \
+         {fleet_rps:.0} req/s, speedup {speedup:.1}x, need {MIN_SPEEDUP:.1}x)"
     );
+    warm.shutdown_all();
+    for server in servers {
+        server.join();
+    }
+    println!("fleet drained and exited");
+    assert_eq!(verdict, "PASS");
+}
+
+/// Chaos mode: K daemons behind consistent hashing; shard 0 dies
+/// mid-run and no acked placement may be lost.
+fn run_chaos(shards: usize) {
+    const CLIENT_THREADS: usize = 4;
+    const ROUNDS: usize = 24;
+
+    let (servers, addrs) = start_fleet(shards);
+    println!("{shards} shards on {addrs:?}; {CLIENT_THREADS} clients x {ROUNDS} rounds with chaos");
 
     let jobs: Vec<PlaceJob> = (2..10)
         .map(|width| {
@@ -346,18 +479,16 @@ fn run_sharded(shards: usize, chaos: bool) {
         .collect();
 
     barrier.wait();
+    // Kill shard 0 while the hammer threads are mid-flight: its
+    // connections drain, then close; clients fail over.
     let mut servers = servers;
-    if chaos {
-        // Kill shard 0 while the hammer threads are mid-flight: its
-        // connections drain, then close; clients fail over.
-        let victim = servers.remove(0);
-        victim.shutdown();
-        victim.join();
-        println!(
-            "chaos: shard 0 killed after {:.2}s",
-            start.elapsed().as_secs_f64()
-        );
-    }
+    let victim = servers.remove(0);
+    victim.shutdown();
+    victim.join();
+    println!(
+        "chaos: shard 0 killed after {:.2}s",
+        start.elapsed().as_secs_f64()
+    );
     for handle in handles {
         handle.join().expect("client thread");
     }
@@ -373,16 +504,14 @@ fn run_sharded(shards: usize, chaos: bool) {
     let submitted = submitted.load(Ordering::Relaxed);
     let acked = acked.load(Ordering::Relaxed);
     let lost = submitted - acked;
-    let expected_survivors = if chaos { shards - 1 } else { shards };
-    let verdict = if lost == 0 && survivors == expected_survivors {
+    let verdict = if lost == 0 && survivors == shards - 1 {
         "PASS"
     } else {
         "FAIL"
     };
     println!(
-        "{} verdict: {verdict} (submitted={submitted}, acked={acked}, lost={lost}, \
+        "chaos verdict: {verdict} (submitted={submitted}, acked={acked}, lost={lost}, \
          survivors={survivors}/{shards}, {:.0} req/s)",
-        if chaos { "chaos" } else { "sharded" },
         acked as f64 / elapsed
     );
 

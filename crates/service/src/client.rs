@@ -11,7 +11,7 @@
 //! (tolerating interleaved replies from earlier pipelined requests).
 //! The same client drives the CLI (`qplacer submit` / `stats` /
 //! `shutdown`), the loopback tests, the load generator, and the
-//! `service_rps_*` benchmark kernels.
+//! benchmark's `serve_mix` workload.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

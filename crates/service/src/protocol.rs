@@ -147,9 +147,26 @@ impl PlaceJob {
     }
 
     /// The full pipeline configuration this job resolves to.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a segment size that [`PlaceJob::validate`] rejects.
     #[must_use]
     pub fn pipeline_config(&self) -> PipelineConfig {
         self.spec().pipeline_config(self.profile)
+    }
+
+    /// Rejects fields no pipeline can run with: a segment size `l_b`
+    /// that is not positive (NaN included). The server checks this where
+    /// it parses a `Place`, before the job is hashed or queued.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.segment_size_mm {
+            Some(lb) if lb > 0.0 => Ok(()),
+            Some(lb) => Err(format!(
+                "bad request: segment_size_mm must be positive, got {lb}"
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -239,7 +256,8 @@ impl Request {
 /// Machine-readable error class in [`Reply::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorCode {
-    /// The request line did not parse as a known message.
+    /// The request line did not parse as a known message, or a job field
+    /// failed [`PlaceJob::validate`].
     BadRequest,
     /// Client and server [`PROTOCOL_VERSION`] differ.
     VersionMismatch,

@@ -781,6 +781,16 @@ impl Reactor {
                 Some(Reply::ShuttingDown { id })
             }
             Ok(Request::Place { id, job, trace_id }) => {
+                if let Err(message) = job.validate() {
+                    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                    let reply = Reply::Error {
+                        id,
+                        code: ErrorCode::BadRequest,
+                        message,
+                    };
+                    self.enqueue_line(slot, reply.to_line());
+                    return;
+                }
                 // Remember this job's cache key under its raw JSON so
                 // repeats take the fast path above. Only for canonical
                 // envelopes, and never for content-salted imports.

@@ -419,3 +419,57 @@ fn oversized_line_is_refused_and_closed() {
     client.shutdown().expect("shutdown");
     server.join();
 }
+
+/// A job whose segment size no pipeline can run with is refused at
+/// admission with a typed `bad-request` echoing its id; the connection
+/// that sent it keeps being served, and so do new connections.
+#[test]
+fn non_positive_segment_size_is_refused_at_admission() {
+    let server = start(1);
+    let addr = server.local_addr();
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    for (id, lb) in [(7, -1.0), (8, 0.0)] {
+        let mut job = falcon_job();
+        job.segment_size_mm = Some(lb);
+        let request = Request::Place {
+            id,
+            job,
+            trace_id: None,
+        };
+        writeln!(writer, "{}", request.to_line()).unwrap();
+        line.clear();
+        reader.read_line(&mut line).expect("typed refusal arrives");
+        match Reply::parse(line.trim()) {
+            Ok(Reply::Error {
+                code,
+                id: reply_id,
+                message,
+            }) => {
+                assert_eq!(code, ErrorCode::BadRequest);
+                assert_eq!(reply_id, id);
+                assert!(message.contains("segment"), "message was: {message}");
+            }
+            other => panic!("expected bad request for l_b = {lb}, got {other:?}"),
+        }
+    }
+
+    writeln!(writer, "{}", Request::Ping { id: 9 }.to_line()).unwrap();
+    line.clear();
+    reader.read_line(&mut line).expect("pong arrives");
+    assert_eq!(Reply::parse(line.trim()), Ok(Reply::Pong { id: 9 }));
+
+    let mut client = ClientBuilder::new(addr).connect().expect("connect");
+    client.ping().expect("a second connection is still served");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.errors, 2);
+    assert_eq!(stats.placed, 0);
+    client.shutdown().expect("shutdown");
+    server.join();
+}

@@ -179,6 +179,19 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Parses `--segment <mm>` with the netlist constructor's own predicate
+/// (`l_b > 0`), so NaN and non-positive sizes are an error, not a panic.
+fn segment_flag(args: &[String]) -> Result<Option<f64>, String> {
+    let Some(seg) = flag_value(args, "--segment") else {
+        return Ok(None);
+    };
+    match seg.parse::<f64>() {
+        Ok(lb) if lb > 0.0 => Ok(Some(lb)),
+        Ok(_) => Err(format!("--segment must be positive, got `{seg}`")),
+        Err(_) => Err(format!("bad --segment `{seg}`")),
+    }
+}
+
 /// Parses `--flag value` as a number, with a helpful error.
 fn numeric_flag<T: std::str::FromStr>(
     args: &[String],
@@ -254,11 +267,7 @@ fn cmd_inventory() -> Result<(), String> {
 fn run_pipeline(args: &[String], device: &Topology) -> Result<PlacedLayout, String> {
     let strategy = parse_strategy(flag_value(args, "--strategy").unwrap_or("qplacer"))?;
     let mut config = PipelineConfig::paper();
-    if let Some(seg) = flag_value(args, "--segment") {
-        let lb: f64 = seg.parse().map_err(|_| format!("bad --segment `{seg}`"))?;
-        if lb <= 0.0 {
-            return Err("--segment must be positive".into());
-        }
+    if let Some(lb) = segment_flag(args)? {
         config.netlist = NetlistConfig::with_segment_size(lb);
     }
     if let Some(levels) = levels_flag(args)? {
@@ -333,10 +342,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
         subsets,
         &[seed],
     );
-    if let Some(seg) = flag_value(args, "--segment") {
-        let lb: f64 = seg.parse().map_err(|_| format!("bad --segment `{seg}`"))?;
-        plan.jobs[0].segment_size_mm = Some(lb);
-    }
+    plan.jobs[0].segment_size_mm = segment_flag(args)?;
     let report = Runner::new(threads).run(&plan);
     let record = &report.records[0];
     if !record.status.is_ok() {
@@ -414,11 +420,7 @@ fn cmd_e2e(args: &[String]) -> Result<(), String> {
     } else {
         PipelineConfig::paper()
     };
-    if let Some(seg) = flag_value(args, "--segment") {
-        let lb: f64 = seg.parse().map_err(|_| format!("bad --segment `{seg}`"))?;
-        if lb <= 0.0 {
-            return Err("--segment must be positive".into());
-        }
+    if let Some(lb) = segment_flag(args)? {
         config.netlist = NetlistConfig::with_segment_size(lb);
     }
     if let Some(levels) = levels_flag(args)? {
@@ -891,11 +893,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     } else {
         PlaceJob::new(device, strategy)
     };
-    if let Some(seg) = flag_value(args, "--segment") {
-        let lb: f64 = seg.parse().map_err(|_| format!("bad --segment `{seg}`"))?;
-        if lb <= 0.0 {
-            return Err("--segment must be positive".into());
-        }
+    if let Some(lb) = segment_flag(args)? {
         job.segment_size_mm = Some(lb);
     }
     if let Some(ms) = flag_value(args, "--deadline") {
@@ -1179,12 +1177,29 @@ mod tests {
     fn service_commands_validate_arguments() {
         // submit needs a topology…
         assert!(cmd_submit(&[]).is_err());
-        // …and rejects bad values before touching the network.
-        let bad_seg: Vec<String> = ["falcon", "--segment", "-1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(cmd_submit(&bad_seg).is_err());
+        // …and rejects bad values before touching the network. Every
+        // command taking `--segment` refuses NaN and non-positive sizes
+        // with a named error instead of panicking in the pipeline.
+        for seg in ["-1", "0", "nan"] {
+            let bad_seg = |head: &[&str]| -> Vec<String> {
+                head.iter()
+                    .chain(&["--segment", seg])
+                    .map(|s| s.to_string())
+                    .collect()
+            };
+            assert!(cmd_submit(&bad_seg(&["falcon"]))
+                .unwrap_err()
+                .contains("--segment"));
+            assert!(cmd_place(&bad_seg(&["grid"]))
+                .unwrap_err()
+                .contains("--segment"));
+            assert!(cmd_e2e(&bad_seg(&["--devices", "grid", "--fast"]))
+                .unwrap_err()
+                .contains("--segment"));
+            assert!(cmd_evaluate(&bad_seg(&["grid", "bv-4", "--subsets", "1"]))
+                .unwrap_err()
+                .contains("--segment"));
+        }
         let bad_deadline: Vec<String> = ["falcon", "--deadline", "soon"]
             .iter()
             .map(|s| s.to_string())
