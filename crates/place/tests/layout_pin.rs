@@ -1,6 +1,8 @@
 //! Cross-commit layout pins: the final global-placement positions of
 //! one cold `PlacerConfig::fast()` Falcon run and of one warm re-place
-//! seeded from it, hashed bit for bit.
+//! seeded from it, hashed bit for bit. Three more cold runs pin the
+//! other spectral kernels: a 30² bin grid (mixed-radix), a 31² grid
+//! (Bluestein) and a three-level V-cycle (mixed-radix coarse grids).
 //!
 //! The engine is deterministic, so these hashes only move when the
 //! floating-point work of a placement changes — a reordered sum in a
@@ -24,6 +26,13 @@ use qplacer_topology::Topology;
 const COLD_FALCON_HASH: u64 = 0x0d81_3eda_65ca_6d9f;
 /// Warm re-place of qubit 0 and its resonators from the cold layout.
 const WARM_FALCON_HASH: u64 = 0xfd18_39f2_7120_9197;
+/// Cold `PlacerConfig::fast()` Falcon placement on a 30² bin grid.
+const COLD_FALCON_BINS30_HASH: u64 = 0xa06f_fda5_d864_af54;
+/// Cold `PlacerConfig::fast()` Falcon placement on a 31² bin grid.
+const COLD_FALCON_BINS31_HASH: u64 = 0x4c5c_0de8_ba8a_58a7;
+/// Cold `PlacerConfig::fast()` Falcon placement as a three-level V-cycle
+/// on the automatic bin grids.
+const COLD_FALCON_LEVELS3_HASH: u64 = 0xeb84_265a_dbe3_377e;
 
 /// FNV-1a over the IEEE-754 bits of every coordinate, in id order.
 fn layout_hash(positions: &[Point]) -> u64 {
@@ -76,5 +85,38 @@ fn cold_and_warm_falcon_layouts_match_their_pins() {
         (cold, warm),
         (COLD_FALCON_HASH, WARM_FALCON_HASH),
         "layout hashes moved: cold {cold:#018x}, warm {warm:#018x}"
+    );
+}
+
+#[test]
+fn cold_falcon_layouts_on_other_kernels_match_their_pins() {
+    let cold = |config: PlacerConfig| {
+        let (_, mut nl) = falcon();
+        GlobalPlacer::new(config).execute(&mut nl, ExecOptions::default());
+        layout_hash(nl.positions())
+    };
+    let bins30 = cold(PlacerConfig {
+        bins: Some(30),
+        ..PlacerConfig::fast()
+    });
+    let bins31 = cold(PlacerConfig {
+        bins: Some(31),
+        ..PlacerConfig::fast()
+    });
+    let levels3 = cold(PlacerConfig {
+        bins: None,
+        levels: 3,
+        ..PlacerConfig::fast()
+    });
+
+    assert_eq!(
+        (bins30, bins31, levels3),
+        (
+            COLD_FALCON_BINS30_HASH,
+            COLD_FALCON_BINS31_HASH,
+            COLD_FALCON_LEVELS3_HASH
+        ),
+        "layout hashes moved: bins 30 {bins30:#018x}, bins 31 {bins31:#018x}, \
+         levels 3 {levels3:#018x}"
     );
 }

@@ -58,54 +58,58 @@ fn steady_state_kernels_do_not_allocate() {
         .collect();
 
     let wl = WirelengthModel::new(0.05);
-    let density = DensityModel::new(nl.region(), 64, 64);
     let freq = FrequencyForce::new(&nl);
-    let mut ws = density.workspace();
     let mut grad = vec![0.0; 2 * n];
 
-    for threads in [1, 2] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool builds");
-        pool.install(|| {
-            // Warm-up: populate the process-wide FFT plan cache.
-            let _ = wl.energy_grad_into(&nl, &positions, &mut grad);
-            let _ = density.energy_grad_into(&nl, &positions, &mut grad, &mut ws);
-            density.grad_into(&nl, &positions, &mut grad, &mut ws);
-            let _ = freq.energy_grad_into(&positions, &mut grad);
+    // 64² runs the radix-2 kernel, 30² the mixed-radix one and 31² the
+    // Bluestein one.
+    for bins in [64, 30, 31] {
+        let density = DensityModel::new(nl.region(), bins, bins);
+        let mut ws = density.workspace();
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool builds");
+            pool.install(|| {
+                // Warm-up: populate the process-wide FFT plan cache.
+                let _ = wl.energy_grad_into(&nl, &positions, &mut grad);
+                let _ = density.energy_grad_into(&nl, &positions, &mut grad, &mut ws);
+                density.grad_into(&nl, &positions, &mut grad, &mut ws);
+                let _ = freq.energy_grad_into(&positions, &mut grad);
 
-            let (count, _) = allocations(|| wl.energy_grad_into(&nl, &positions, &mut grad));
-            assert_eq!(
-                count, 0,
-                "{threads} threads: wirelength kernel allocated {count} times"
-            );
+                let (count, _) = allocations(|| wl.energy_grad_into(&nl, &positions, &mut grad));
+                assert_eq!(
+                    count, 0,
+                    "{threads} threads: wirelength kernel allocated {count} times"
+                );
 
-            let (count, _) =
-                allocations(|| density.energy_grad_into(&nl, &positions, &mut grad, &mut ws));
-            assert_eq!(
-                count, 0,
-                "{threads} threads: density kernel allocated {count} times"
-            );
+                let (count, _) =
+                    allocations(|| density.energy_grad_into(&nl, &positions, &mut grad, &mut ws));
+                assert_eq!(
+                    count, 0,
+                    "{bins}² bins, {threads} threads: density kernel allocated {count} times"
+                );
 
-            let (count, ()) =
-                allocations(|| density.grad_into(&nl, &positions, &mut grad, &mut ws));
-            assert_eq!(
-                count, 0,
-                "{threads} threads: density gradient allocated {count} times"
-            );
+                let (count, ()) =
+                    allocations(|| density.grad_into(&nl, &positions, &mut grad, &mut ws));
+                assert_eq!(
+                    count, 0,
+                    "{bins}² bins, {threads} threads: density gradient allocated {count} times"
+                );
 
-            let (count, _) = allocations(|| freq.energy_grad_into(&positions, &mut grad));
-            assert_eq!(
-                count, 0,
-                "{threads} threads: frequency kernel allocated {count} times"
-            );
+                let (count, _) = allocations(|| freq.energy_grad_into(&positions, &mut grad));
+                assert_eq!(
+                    count, 0,
+                    "{threads} threads: frequency kernel allocated {count} times"
+                );
 
-            let (count, _) = allocations(|| density.overflow_with(&nl, &positions, &mut ws));
-            assert_eq!(
-                count, 0,
-                "{threads} threads: overflow scan allocated {count} times"
-            );
-        });
+                let (count, _) = allocations(|| density.overflow_with(&nl, &positions, &mut ws));
+                assert_eq!(
+                    count, 0,
+                    "{bins}² bins, {threads} threads: overflow scan allocated {count} times"
+                );
+            });
+        }
     }
 }
