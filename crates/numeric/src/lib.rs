@@ -25,17 +25,16 @@
 //! 1. Build an [`FftPlan`] (per length) or a 2-D [`SpectralPlan`] once —
 //!    this precomputes bit-reversal tables, twiddle factors, and DCT
 //!    phase tables.
-//! 2. Allocate the matching workspaces once: a [`SpectralScratch`] (a
-//!    transpose buffer plus one complex row buffer per worker) and, for
+//! 2. Allocate the matching workspaces once: a [`SpectralScratch`] (the
+//!    real and complex lane buffers of one 16-row block) and, for
 //!    Poisson solves, a [`PoissonField`] via [`PoissonField::zeros`].
 //! 3. Call the `*_inplace` row kernels / [`SpectralPlan::apply_2d`] /
 //!    [`PoissonSolver::solve_into`] in the loop: the kernel code itself
-//!    performs **zero heap allocations** on any grid size and fans
-//!    row passes across the current rayon pool width. Row results are
-//!    computed independently, so outputs are bit-identical for any
-//!    thread count, and handing a band of rows to a parked pool thread
-//!    allocates nothing, so the zero-allocation steady state holds at
-//!    any pool width.
+//!    performs **zero heap allocations** on any grid size. A 2-D pass
+//!    runs on the calling thread and transforms 16 rows (or columns) per
+//!    butterfly sweep, one lane each. Every lane does exactly the
+//!    arithmetic of the one-row kernel, so the result is bit-identical
+//!    to transforming the rows one at a time, and no pool width enters.
 //!
 //! Every positive length is planned in O(n log n): power-of-two lengths
 //! on the radix-2 kernel, other 2/3/5-smooth lengths on the mixed-radix

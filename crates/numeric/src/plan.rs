@@ -14,22 +14,29 @@
 //!   buffer using caller-provided complex scratch (sized by
 //!   [`FftPlan::scratch_len`]), performing **zero heap allocations**.
 //! * [`SpectralPlan`] — a 2-D separable-transform plan over an
-//!   `nx × ny` grid. Row passes run in parallel on the rayon pool
-//!   installed by the caller (one scratch slot per worker, pre-sized in
-//!   [`SpectralScratch`]); under a 1-thread pool the pass is sequential.
-//!   Either way it is allocation-free.
+//!   `nx × ny` grid. Each pass transforms 16 rows (or columns) at once
+//!   as one structure-of-arrays butterfly sweep on the calling thread,
+//!   with the lane buffers in a caller-owned [`SpectralScratch`]. It is
+//!   allocation-free.
 //! * [`fft_plan`] — a process-wide plan cache so the legacy free
 //!   functions also stop recomputing twiddles per call.
 //!
-//! Row kernels are computed independently per row, so results are
-//! bit-identical for any worker count.
+//! Every kernel has one butterfly implementation, generic over the
+//! number of transforms it runs side by side: one (`Complex64`) for the
+//! row API, [`LANES`] for the 2-D passes. Each lane performs exactly the
+//! IEEE operations of the one-row kernel, in the same order, so a 2-D
+//! pass gives the same bits as transforming its rows one by one.
 
 use std::collections::HashMap;
+use std::ops::{Add, Sub};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use rayon::prelude::*;
-
 use crate::{Array2, Complex64};
+
+/// Rows (or columns) one 2-D pass transforms together. On a 128² grid
+/// 16 lanes measured 1.65× the one-row kernel, against 1.41× for 8 and
+/// 1.23× for 32.
+const LANES: usize = 16;
 
 /// `true` when length-`n` transforms run on a dedicated butterfly kernel
 /// (`n` is 2/3/5-smooth, powers of two included). Other positive lengths
@@ -92,6 +99,164 @@ pub enum RowOp {
     Idxst,
 }
 
+/// Complex values of a batch of independent transforms, one per lane.
+/// [`Complex64`] is the one-lane batch and [`Lanes`] the [`LANES`]-lane
+/// one. Every operation performs, in each lane, exactly the IEEE
+/// operations of the [`Complex64`] operation of the same name.
+trait Lane: Copy + Add<Output = Self> + Sub<Output = Self> {
+    /// One real value per lane.
+    type Real: Copy;
+    /// Zero in every lane.
+    const ZERO: Self;
+    /// Real zero in every lane.
+    const REAL_ZERO: Self::Real;
+    fn new(re: Self::Real, im: Self::Real) -> Self;
+    fn re(self) -> Self::Real;
+    fn neg(x: Self::Real) -> Self::Real;
+    fn conj(self) -> Self;
+    fn scale(self, s: f64) -> Self;
+    /// `self · w` with `w` the same in every lane.
+    fn times(self, w: Complex64) -> Self;
+}
+
+impl Lane for Complex64 {
+    type Real = f64;
+    const ZERO: Self = Complex64::ZERO;
+    const REAL_ZERO: f64 = 0.0;
+
+    #[inline(always)]
+    fn new(re: f64, im: f64) -> Self {
+        Complex64::new(re, im)
+    }
+
+    #[inline(always)]
+    fn re(self) -> f64 {
+        self.re
+    }
+
+    #[inline(always)]
+    fn neg(x: f64) -> f64 {
+        -x
+    }
+
+    #[inline(always)]
+    fn conj(self) -> Self {
+        Complex64::conj(self)
+    }
+
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        Complex64::scale(self, s)
+    }
+
+    #[inline(always)]
+    fn times(self, w: Complex64) -> Self {
+        self * w
+    }
+}
+
+/// [`LANES`] complex values in structure-of-arrays form.
+#[derive(Debug, Clone, Copy)]
+struct Lanes {
+    re: [f64; LANES],
+    im: [f64; LANES],
+}
+
+impl Add for Lanes {
+    type Output = Self;
+
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            re: std::array::from_fn(|l| self.re[l] + rhs.re[l]),
+            im: std::array::from_fn(|l| self.im[l] + rhs.im[l]),
+        }
+    }
+}
+
+impl Sub for Lanes {
+    type Output = Self;
+
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        Self {
+            re: std::array::from_fn(|l| self.re[l] - rhs.re[l]),
+            im: std::array::from_fn(|l| self.im[l] - rhs.im[l]),
+        }
+    }
+}
+
+impl Lane for Lanes {
+    type Real = [f64; LANES];
+    const ZERO: Self = Self {
+        re: [0.0; LANES],
+        im: [0.0; LANES],
+    };
+    const REAL_ZERO: [f64; LANES] = [0.0; LANES];
+
+    #[inline(always)]
+    fn new(re: [f64; LANES], im: [f64; LANES]) -> Self {
+        Self { re, im }
+    }
+
+    #[inline(always)]
+    fn re(self) -> [f64; LANES] {
+        self.re
+    }
+
+    #[inline(always)]
+    fn neg(x: [f64; LANES]) -> [f64; LANES] {
+        x.map(|v| -v)
+    }
+
+    #[inline(always)]
+    fn conj(self) -> Self {
+        Self {
+            re: self.re,
+            im: self.im.map(|v| -v),
+        }
+    }
+
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        Self {
+            re: self.re.map(|v| v * s),
+            im: self.im.map(|v| v * s),
+        }
+    }
+
+    #[inline(always)]
+    fn times(self, w: Complex64) -> Self {
+        Self {
+            re: std::array::from_fn(|l| self.re[l] * w.re - self.im[l] * w.im),
+            im: std::array::from_fn(|l| self.re[l] * w.im + self.im[l] * w.re),
+        }
+    }
+}
+
+/// A table of unit phasors and their conjugates, so inverse passes read
+/// precomputed values instead of conjugating in the butterfly.
+#[derive(Debug, Clone)]
+struct Phasors {
+    fwd: Vec<Complex64>,
+    inv: Vec<Complex64>,
+}
+
+impl Phasors {
+    fn new(fwd: Vec<Complex64>) -> Self {
+        let inv = fwd.iter().map(|w| w.conj()).collect();
+        Self { fwd, inv }
+    }
+
+    fn get(&self, inverse: bool) -> &[Complex64] {
+        if inverse {
+            &self.inv
+        } else {
+            &self.fwd
+        }
+    }
+}
+
 /// The iterative radix-2 Cooley–Tukey kernel (bit-reversal permutation +
 /// in-place butterflies), used directly for power-of-two lengths and as
 /// the convolution engine inside the Bluestein kernel.
@@ -102,7 +267,7 @@ struct Radix2 {
     rev: Vec<u32>,
     /// Forward twiddles `e^{-2πi k/n}` for `k < n/2`; the stage with
     /// butterfly span `len` indexes this with stride `n/len`.
-    twiddle: Vec<Complex64>,
+    twiddle: Phasors,
 }
 
 impl Radix2 {
@@ -121,30 +286,35 @@ impl Radix2 {
         let twiddle = (0..n / 2)
             .map(|k| Complex64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
             .collect();
-        Self { n, rev, twiddle }
+        Self {
+            n,
+            rev,
+            twiddle: Phasors::new(twiddle),
+        }
     }
 
     /// Unnormalized transform: the raw (conjugate-)exponent sum.
-    fn fft_raw(&self, data: &mut [Complex64], inverse: bool) {
-        for i in 0..self.n {
-            let j = self.rev[i] as usize;
+    fn fft_raw<V: Lane>(&self, data: &mut [V], inverse: bool) {
+        let n = self.n;
+        let data = &mut data[..n];
+        for (i, &j) in self.rev.iter().enumerate() {
+            let j = j as usize;
             if j > i {
                 data.swap(i, j);
             }
         }
-        let n = self.n;
+        let twiddle = self.twiddle.get(inverse);
         let mut len = 2;
         while len <= n {
             let half = len / 2;
             let stride = n / len;
             for chunk in data.chunks_exact_mut(len) {
-                for i in 0..half {
-                    let w = self.twiddle[i * stride];
-                    let w = if inverse { w.conj() } else { w };
-                    let u = chunk[i];
-                    let v = chunk[i + half] * w;
-                    chunk[i] = u + v;
-                    chunk[i + half] = u - v;
+                let (lo, hi) = chunk.split_at_mut(half);
+                for (i, (a, b)) in lo.iter_mut().zip(hi).enumerate() {
+                    let u = *a;
+                    let v = b.times(twiddle[i * stride]);
+                    *a = u + v;
+                    *b = u - v;
                 }
             }
             len <<= 1;
@@ -161,13 +331,10 @@ struct Stage {
     s: usize,
     /// `twiddle[p·radix + j] = e^{-2πi·p·j/(radix·m)}` for `p < m`,
     /// `j < radix`.
-    twiddle: Vec<Complex64>,
+    twiddle: Phasors,
     /// The radix-point DFT roots `e^{-2πi·t/radix}` for `t < radix`.
-    roots: Vec<Complex64>,
+    roots: Phasors,
 }
-
-/// Largest butterfly radix the mixed-radix kernel emits.
-const MAX_RADIX: usize = 5;
 
 fn mixed_stages(n: usize) -> Vec<Stage> {
     let mut stages = Vec::new();
@@ -196,8 +363,8 @@ fn mixed_stages(n: usize) -> Vec<Stage> {
             radix,
             m,
             s,
-            twiddle,
-            roots,
+            twiddle: Phasors::new(twiddle),
+            roots: Phasors::new(roots),
         });
         n_cur = m;
         s *= radix;
@@ -208,52 +375,59 @@ fn mixed_stages(n: usize) -> Vec<Stage> {
 /// Stockham autosort pass over all stages. `work` must hold `n`
 /// elements; the result always ends in `data` (an odd stage count copies
 /// back from the ping-pong buffer).
-fn mixed_fft_raw(
+fn mixed_fft_raw<V: Lane>(
     stages: &[Stage],
     n: usize,
-    data: &mut [Complex64],
-    work: &mut [Complex64],
+    data: &mut [V],
+    work: &mut [V],
     inverse: bool,
 ) {
     let work = &mut work[..n];
-    let mut src: &mut [Complex64] = data;
-    let mut dst: &mut [Complex64] = work;
+    let mut src: &mut [V] = data;
+    let mut dst: &mut [V] = work;
     for stage in stages {
-        let r = stage.radix;
-        let m = stage.m;
-        let s = stage.s;
-        let mut a = [Complex64::ZERO; MAX_RADIX];
-        for p in 0..m {
-            for q in 0..s {
-                for (c, slot) in a.iter_mut().enumerate().take(r) {
-                    *slot = src[q + s * (p + c * m)];
-                }
-                if r == 2 {
-                    // Exact ±1 butterfly, no root rounding.
-                    let tw = stage.twiddle[2 * p + 1];
-                    let tw = if inverse { tw.conj() } else { tw };
-                    dst[q + s * (2 * p)] = a[0] + a[1];
-                    dst[q + s * (2 * p + 1)] = (a[0] - a[1]) * tw;
-                } else {
-                    for j in 0..r {
-                        let mut acc = a[0];
-                        for (c, &v) in a.iter().enumerate().take(r).skip(1) {
-                            let root = stage.roots[(c * j) % r];
-                            let root = if inverse { root.conj() } else { root };
-                            acc += v * root;
-                        }
-                        let tw = stage.twiddle[p * r + j];
-                        let tw = if inverse { tw.conj() } else { tw };
-                        dst[q + s * (r * p + j)] = acc * tw;
-                    }
-                }
-            }
+        match stage.radix {
+            2 => stockham_stage::<V, 2>(stage, src, dst, inverse),
+            3 => stockham_stage::<V, 3>(stage, src, dst, inverse),
+            5 => stockham_stage::<V, 5>(stage, src, dst, inverse),
+            r => unreachable!("mixed-radix stage of radix {r}"),
         }
         std::mem::swap(&mut src, &mut dst);
     }
     if stages.len() % 2 == 1 {
         // `src` (the last-written buffer) is the ping-pong work area.
         dst.copy_from_slice(src);
+    }
+}
+
+/// One radix-`R` Stockham stage from `src` into `dst`. `R` is a
+/// constant so the radix-point DFT unrolls.
+fn stockham_stage<V: Lane, const R: usize>(stage: &Stage, src: &[V], dst: &mut [V], inverse: bool) {
+    debug_assert_eq!(stage.radix, R);
+    let m = stage.m;
+    let s = stage.s;
+    let twiddle = stage.twiddle.get(inverse);
+    let roots = stage.roots.get(inverse);
+    let mut a = [V::ZERO; R];
+    for p in 0..m {
+        for q in 0..s {
+            for (c, slot) in a.iter_mut().enumerate() {
+                *slot = src[q + s * (p + c * m)];
+            }
+            if R == 2 {
+                // Exact ±1 butterfly, no root rounding.
+                dst[q + s * (2 * p)] = a[0] + a[1];
+                dst[q + s * (2 * p + 1)] = (a[0] - a[1]).times(twiddle[2 * p + 1]);
+            } else {
+                for j in 0..R {
+                    let mut acc = a[0];
+                    for (c, &v) in a.iter().enumerate().skip(1) {
+                        acc = acc + v.times(roots[(c * j) % R]);
+                    }
+                    dst[q + s * (R * p + j)] = acc.times(twiddle[p * R + j]);
+                }
+            }
+        }
     }
 }
 
@@ -293,33 +467,32 @@ fn bluestein_kernel(n: usize) -> Kernel {
 }
 
 /// Forward Bluestein: `X_k = w_k · (x·w ⊛ conj(w))[k]`, with the linear
-/// convolution evaluated circularly at length `inner.n`.
-fn bluestein_forward(
+/// convolution evaluated circularly at length `inner.n`: pointwise chirp
+/// multiplies around two radix-2 passes.
+fn bluestein_forward<V: Lane>(
     inner: &Radix2,
     w: &[Complex64],
     b_fft: &[Complex64],
-    data: &mut [Complex64],
-    work: &mut [Complex64],
+    data: &mut [V],
+    work: &mut [V],
 ) {
-    let n = data.len();
     let m = inner.n;
     let work = &mut work[..m];
-    for t in 0..n {
-        work[t] = data[t] * w[t];
+    let (head, tail) = work.split_at_mut(data.len());
+    for ((slot, &x), &wt) in head.iter_mut().zip(data.iter()).zip(w) {
+        *slot = x.times(wt);
     }
-    for slot in work[n..].iter_mut() {
-        *slot = Complex64::ZERO;
-    }
+    tail.fill(V::ZERO);
     inner.fft_raw(work, false);
     for (v, &b) in work.iter_mut().zip(b_fft) {
-        *v *= b;
+        *v = v.times(b);
     }
     inner.fft_raw(work, true);
     // The circular convolution needs the normalized inverse; fold the
     // 1/m into the final chirp multiply.
     let scale = 1.0 / m as f64;
     for (out, (&conv, &wk)) in data.iter_mut().zip(work.iter().zip(w)) {
-        *out = (conv * wk).scale(scale);
+        *out = conv.times(wk).scale(scale);
     }
 }
 
@@ -419,13 +592,7 @@ impl FftPlan {
 
     /// Core dispatch. `work` must hold at least [`FftPlan::work_len`]
     /// elements; `normalize` divides an inverse transform by `n`.
-    fn fft_with(
-        &self,
-        data: &mut [Complex64],
-        work: &mut [Complex64],
-        inverse: bool,
-        normalize: bool,
-    ) {
+    fn fft_with<V: Lane>(&self, data: &mut [V], work: &mut [V], inverse: bool, normalize: bool) {
         debug_assert_eq!(data.len(), self.n);
         match &self.kernel {
             Kernel::Radix2(r2) => r2.fft_raw(data, inverse),
@@ -490,24 +657,7 @@ impl FftPlan {
     /// Panics if `row.len() != self.len()` or `scratch` is shorter than
     /// [`FftPlan::scratch_len`].
     pub fn dct2_inplace(&self, row: &mut [f64], scratch: &mut [Complex64]) {
-        let n = self.n;
-        assert_eq!(row.len(), n, "row length mismatch");
-        if n == 1 {
-            return; // DCT-II of a single sample is the sample itself.
-        }
-        let (signal, work) = scratch[..self.scratch_len()].split_at_mut(n);
-        // Makhoul even-odd permutation into the complex buffer (valid for
-        // any length: the odd tail is reversed into the upper half).
-        for i in 0..n.div_ceil(2) {
-            signal[i] = Complex64::new(row[2 * i], 0.0);
-        }
-        for i in 0..n / 2 {
-            signal[n - 1 - i] = Complex64::new(row[2 * i + 1], 0.0);
-        }
-        self.fft_with(signal, work, false, false);
-        for (k, out) in row.iter_mut().enumerate() {
-            *out = (signal[k] * self.phase2[k]).re;
-        }
+        self.apply_row(RowOp::Dct2, row, scratch);
     }
 
     /// In-place DCT-III of `row` (unnormalized, matches [`crate::dct3`]).
@@ -516,30 +666,7 @@ impl FftPlan {
     ///
     /// Panics on length mismatches as in [`FftPlan::dct2_inplace`].
     pub fn dct3_inplace(&self, row: &mut [f64], scratch: &mut [Complex64]) {
-        let n = self.n;
-        assert_eq!(row.len(), n, "row length mismatch");
-        if n == 1 {
-            row[0] *= 0.5;
-            return;
-        }
-        let (signal, work) = scratch[..self.scratch_len()].split_at_mut(n);
-        // V_k = ½·e^{iπk/2N}·(y_k − i·y_{N−k}), y_N := 0.
-        signal[0] = Complex64::new(row[0], 0.0) * self.phase3[0];
-        for k in 1..n {
-            signal[k] = Complex64::new(row[k], -row[n - k]) * self.phase3[k];
-        }
-        // The unnormalized DCT-III needs the raw conjugate sum: the usual
-        // 1/N of the inverse FFT and the ×N un-normalization cancel
-        // exactly for every kernel.
-        self.fft_with(signal, work, true, false);
-        for i in 0..n / 2 {
-            row[2 * i] = signal[i].re;
-            row[2 * i + 1] = signal[n - 1 - i].re;
-        }
-        if n % 2 == 1 {
-            // Odd lengths have one extra even output position, n−1.
-            row[n - 1] = signal[n / 2].re;
-        }
+        self.apply_row(RowOp::Dct3, row, scratch);
     }
 
     /// In-place IDXST of `row` (matches [`crate::idxst`]; `row[0]` is
@@ -549,37 +676,88 @@ impl FftPlan {
     ///
     /// Panics on length mismatches as in [`FftPlan::dct2_inplace`].
     pub fn idxst_inplace(&self, row: &mut [f64], scratch: &mut [Complex64]) {
-        let n = self.n;
-        assert_eq!(row.len(), n, "row length mismatch");
-        if n == 1 {
-            row[0] = 0.0;
-            return;
-        }
-        let (signal, work) = scratch[..self.scratch_len()].split_at_mut(n);
-        // s = (−1)^n-signed DCT-III of c with c_0 = 0, c_j = b_{N−j};
-        // substituting c into the DCT-III factorization gives
-        // V_k = ½·e^{iπk/2N}·(b_{N−k} − i·b_k) with V_0 = 0.
-        signal[0] = Complex64::ZERO;
-        for k in 1..n {
-            signal[k] = Complex64::new(row[n - k], -row[k]) * self.phase3[k];
-        }
-        self.fft_with(signal, work, true, false);
-        for i in 0..n / 2 {
-            row[2 * i] = signal[i].re;
-            row[2 * i + 1] = -signal[n - 1 - i].re;
-        }
-        if n % 2 == 1 {
-            // Position n−1 is even for odd n, so no sign flip.
-            row[n - 1] = signal[n / 2].re;
-        }
+        self.apply_row(RowOp::Idxst, row, scratch);
     }
 
     /// Dispatches one row kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches as in [`FftPlan::dct2_inplace`].
     pub fn apply_row(&self, op: RowOp, row: &mut [f64], scratch: &mut [Complex64]) {
+        assert_eq!(row.len(), self.n, "row length mismatch");
+        self.apply(op, row, scratch);
+    }
+
+    /// Applies `op` to every lane of `xs` (`self.len()` elements), with
+    /// `scratch` holding at least [`FftPlan::scratch_len`] elements.
+    fn apply<V: Lane>(&self, op: RowOp, xs: &mut [V::Real], scratch: &mut [V]) {
+        let n = self.n;
+        if n == 1 {
+            // The length-1 transforms: DCT-II is the sample itself,
+            // DCT-III halves it, IDXST has no sine frequency.
+            match op {
+                RowOp::Dct2 => {}
+                RowOp::Dct3 => xs[0] = V::new(xs[0], V::REAL_ZERO).scale(0.5).re(),
+                RowOp::Idxst => xs[0] = V::REAL_ZERO,
+            }
+            return;
+        }
+        let (signal, work) = scratch[..self.scratch_len()].split_at_mut(n);
         match op {
-            RowOp::Dct2 => self.dct2_inplace(row, scratch),
-            RowOp::Dct3 => self.dct3_inplace(row, scratch),
-            RowOp::Idxst => self.idxst_inplace(row, scratch),
+            RowOp::Dct2 => {
+                // Makhoul even-odd permutation into the complex buffer
+                // (valid for any length: the odd tail is reversed into
+                // the upper half).
+                for i in 0..n.div_ceil(2) {
+                    signal[i] = V::new(xs[2 * i], V::REAL_ZERO);
+                }
+                for i in 0..n / 2 {
+                    signal[n - 1 - i] = V::new(xs[2 * i + 1], V::REAL_ZERO);
+                }
+                self.fft_with(signal, work, false, false);
+                for ((out, &s), &p) in xs.iter_mut().zip(signal.iter()).zip(&self.phase2) {
+                    *out = s.times(p).re();
+                }
+            }
+            RowOp::Dct3 => {
+                // V_k = ½·e^{iπk/2N}·(y_k − i·y_{N−k}), y_N := 0.
+                signal[0] = V::new(xs[0], V::REAL_ZERO).times(self.phase3[0]);
+                for k in 1..n {
+                    signal[k] = V::new(xs[k], V::neg(xs[n - k])).times(self.phase3[k]);
+                }
+                // The unnormalized DCT-III needs the raw conjugate sum:
+                // the usual 1/N of the inverse FFT and the ×N
+                // un-normalization cancel exactly for every kernel.
+                self.fft_with(signal, work, true, false);
+                for i in 0..n / 2 {
+                    xs[2 * i] = signal[i].re();
+                    xs[2 * i + 1] = signal[n - 1 - i].re();
+                }
+                if n % 2 == 1 {
+                    // Odd lengths have one extra even output position, n−1.
+                    xs[n - 1] = signal[n / 2].re();
+                }
+            }
+            RowOp::Idxst => {
+                // s = (−1)^n-signed DCT-III of c with c_0 = 0,
+                // c_j = b_{N−j}; substituting c into the DCT-III
+                // factorization gives V_k = ½·e^{iπk/2N}·(b_{N−k} − i·b_k)
+                // with V_0 = 0.
+                signal[0] = V::ZERO;
+                for k in 1..n {
+                    signal[k] = V::new(xs[n - k], V::neg(xs[k])).times(self.phase3[k]);
+                }
+                self.fft_with(signal, work, true, false);
+                for i in 0..n / 2 {
+                    xs[2 * i] = signal[i].re();
+                    xs[2 * i + 1] = V::neg(signal[n - 1 - i].re());
+                }
+                if n % 2 == 1 {
+                    // Position n−1 is even for odd n, so no sign flip.
+                    xs[n - 1] = signal[n / 2].re();
+                }
+            }
         }
     }
 }
@@ -605,51 +783,42 @@ pub fn fft_plan(n: usize) -> Arc<FftPlan> {
     Arc::clone(map.entry(n).or_insert_with(|| Arc::new(FftPlan::new(n))))
 }
 
-/// Caller-owned scratch for a [`SpectralPlan`]: a transpose buffer plus
-/// one complex row buffer per worker slot. Building one costs two
-/// allocations; reusing it across solves costs none.
+/// Caller-owned scratch for a [`SpectralPlan`]: the real and complex
+/// lane buffers of one 16-wide block of rows or columns. Building one
+/// costs two allocations; reusing it across solves costs none.
 #[derive(Debug, Clone)]
 pub struct SpectralScratch {
-    /// Transposed copy of the grid during column passes.
-    transpose: Vec<f64>,
-    /// `slots` contiguous complex row buffers of `slot_len` each.
-    complex: Vec<Complex64>,
-    slot_len: usize,
+    /// The block's real values, one `[f64; LANES]` per grid position
+    /// along the transformed axis.
+    reals: Vec<[f64; LANES]>,
+    /// The block's complex signal and kernel work area.
+    complex: Vec<Lanes>,
 }
 
 impl SpectralScratch {
-    /// Scratch for an `nx × ny` grid, sized for every core the host can
-    /// offer and never fewer than four slots (so modestly oversized
-    /// pools — and the threaded code path on single-core CI — still get
-    /// one slot per worker; wider pools are clamped to the slot count).
-    /// Each slot holds [`transform_scratch_len`] elements for the larger
+    /// Scratch for an `nx × ny` grid: real lanes for the longer axis and
+    /// complex lanes of [`transform_scratch_len`] for the larger
     /// dimension, so non-power-of-two grids get their kernel work area.
     #[must_use]
     pub fn new(nx: usize, ny: usize) -> Self {
-        let slot_len = transform_scratch_len(nx)
-            .max(transform_scratch_len(ny))
-            .max(1);
-        let slots = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .max(4);
+        let complex_len = transform_scratch_len(nx).max(transform_scratch_len(ny));
         Self {
-            transpose: vec![0.0; nx * ny],
-            complex: vec![Complex64::ZERO; slots * slot_len],
-            slot_len,
+            reals: vec![[0.0; LANES]; nx.max(ny)],
+            complex: vec![Lanes::ZERO; complex_len],
         }
     }
 }
 
-/// A 2-D separable-transform plan over an `nx × ny` grid, running row
-/// passes in parallel across the current rayon pool width. Any positive
+/// A 2-D separable-transform plan over an `nx × ny` grid. Any positive
 /// dimensions work; 2/3/5-smooth sizes run on the butterfly kernels (see
 /// [`is_fast_path`]).
 ///
-/// Transforms are applied as `rows(x-plan) → transpose → rows(y-plan) →
-/// transpose back`, so both passes stream over contiguous memory. Each
-/// row is computed independently with a per-worker scratch slot, making
-/// results bit-identical for any thread count.
+/// Each pass runs on the calling thread in blocks of 16 rows (the x
+/// pass) or 16 columns (the y pass): the block is loaded into lanes,
+/// transformed by one butterfly sweep, and stored back, with unused
+/// lanes of a short last block zero-filled and never stored. Each lane
+/// does exactly the arithmetic of the one-row kernel, so the result is
+/// bit-identical to transforming the rows and columns one at a time.
 ///
 /// # Examples
 ///
@@ -663,9 +832,7 @@ impl SpectralScratch {
 /// plan.apply_2d(&mut a, &mut scratch, RowOp::Dct2, RowOp::Dct2);
 /// b.map_rows(dct2);
 /// b.map_cols(dct2);
-/// for (x, y) in a.data().iter().zip(b.data()) {
-///     assert!((x - y).abs() < 1e-9);
-/// }
+/// assert_eq!(a, b);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpectralPlan {
@@ -710,72 +877,54 @@ impl SpectralPlan {
         row_op: RowOp,
         col_op: RowOp,
     ) {
-        assert_eq!(a.nx(), self.nx, "grid shape mismatch");
-        assert_eq!(a.ny(), self.ny, "grid shape mismatch");
+        let (nx, ny) = (self.nx, self.ny);
+        assert_eq!(a.nx(), nx, "grid shape mismatch");
+        assert_eq!(a.ny(), ny, "grid shape mismatch");
         assert!(
-            scratch.transpose.len() >= self.nx * self.ny
-                && scratch.slot_len >= self.plan_x.scratch_len().max(self.plan_y.scratch_len()),
-            "scratch too small for {}x{} grid",
-            self.nx,
-            self.ny
+            scratch.reals.len() >= nx.max(ny)
+                && scratch.complex.len()
+                    >= self.plan_x.scratch_len().max(self.plan_y.scratch_len()),
+            "scratch too small for {nx}x{ny} grid"
         );
-        let SpectralScratch {
-            transpose,
-            complex,
-            slot_len,
-        } = scratch;
+        let SpectralScratch { reals, complex } = scratch;
         let data = a.data_mut();
-        par_rows(&self.plan_x, data, complex, *slot_len, row_op);
-        transpose_into(data, transpose, self.nx, self.ny);
-        par_rows(
-            &self.plan_y,
-            &mut transpose[..self.nx * self.ny],
-            complex,
-            *slot_len,
-            col_op,
-        );
-        transpose_into(&transpose[..self.nx * self.ny], data, self.ny, self.nx);
-    }
-}
 
-/// `dst[x*ny + y] = src[y*nx + x]` — row-major transpose of an `nx × ny`
-/// grid (row length `nx`) into its `ny × nx` counterpart.
-fn transpose_into(src: &[f64], dst: &mut [f64], nx: usize, ny: usize) {
-    for y in 0..ny {
-        let row = &src[y * nx..(y + 1) * nx];
-        for (x, &v) in row.iter().enumerate() {
-            dst[x * ny + y] = v;
+        // x pass: lane `l` is row `first + l`, read at stride `nx`.
+        let xs = &mut reals[..nx];
+        for rows in data.chunks_mut(LANES * nx) {
+            let width = rows.len() / nx;
+            for (l, row) in rows.chunks_exact(nx).enumerate() {
+                for (x, &v) in xs.iter_mut().zip(row) {
+                    x[l] = v;
+                }
+            }
+            if width < LANES {
+                for x in xs.iter_mut() {
+                    x[width..].fill(0.0);
+                }
+            }
+            self.plan_x.apply(row_op, xs, complex);
+            for (l, row) in rows.chunks_exact_mut(nx).enumerate() {
+                for (v, x) in row.iter_mut().zip(xs.iter()) {
+                    *v = x[l];
+                }
+            }
+        }
+
+        // y pass: lane `l` is column `first + l`, contiguous per row.
+        let ys = &mut reals[..ny];
+        for first in (0..nx).step_by(LANES) {
+            let width = LANES.min(nx - first);
+            for (y, row) in ys.iter_mut().zip(data.chunks_exact(nx)) {
+                y[..width].copy_from_slice(&row[first..first + width]);
+                y[width..].fill(0.0);
+            }
+            self.plan_y.apply(col_op, ys, complex);
+            for (y, row) in ys.iter().zip(data.chunks_exact_mut(nx)) {
+                row[first..first + width].copy_from_slice(&y[..width]);
+            }
         }
     }
-}
-
-/// Applies `op` to every contiguous length-`n` row of `data`, one band
-/// of rows per worker of the current rayon pool (at most one per scratch
-/// slot), each band with its own slot. With an effective width of 1 the
-/// pass is one band run inline; at any width it performs no allocation.
-///
-/// Inside a pool worker the depth-1 nesting contract reports a width of
-/// 1, so harness jobs running under an installed pool take the inline
-/// path here and never oversubscribe the machine.
-fn par_rows(
-    plan: &FftPlan,
-    data: &mut [f64],
-    complex: &mut [Complex64],
-    slot_len: usize,
-    op: RowOp,
-) {
-    let n = plan.len();
-    let rows = data.len() / n;
-    let slots = complex.len() / slot_len;
-    let threads = rayon::current_num_threads().min(rows).min(slots).max(1);
-    let band = (rows.div_ceil(threads) * n).max(1);
-    data.par_chunks_mut(band)
-        .zip(complex.par_chunks_mut(slot_len))
-        .for_each(|(band_data, slot)| {
-            for row in band_data.chunks_exact_mut(n) {
-                plan.apply_row(op, row, slot);
-            }
-        });
 }
 
 #[cfg(test)]
@@ -863,16 +1012,27 @@ mod tests {
     }
 
     #[test]
-    fn spectral_plan_matches_map_rows_cols() {
-        // One smooth non-power-of-two dimension exercises the mixed-radix
-        // kernel through the full 2-D pass.
-        for (nx, ny) in [(16usize, 8usize), (12, 8), (16, 10)] {
+    fn spectral_plan_matches_map_rows_cols_exactly() {
+        // Every kernel on each axis, widths below, at and past one lane
+        // block, and short last blocks: each lane must give the bits of
+        // the one-row kernel the free functions run.
+        for (nx, ny) in [
+            (16usize, 8usize),
+            (12, 8),
+            (16, 10),
+            (1, 5),
+            (5, 1),
+            (33, 17),
+            (24, 20),
+            (7, 40),
+            (31, 45),
+        ] {
             let plan = SpectralPlan::new(nx, ny);
             let mut scratch = SpectralScratch::new(nx, ny);
             let mut a = Array2::zeros(nx, ny);
             for iy in 0..ny {
                 for ix in 0..nx {
-                    a[(ix, iy)] = ((ix * 5 + iy * 3) % 11) as f64 - 4.0;
+                    a[(ix, iy)] = ((ix * 5 + iy * 3) % 11) as f64 - 4.0 + 0.1 * ix as f64;
                 }
             }
             for (row_op, col_op, rf, cf) in [
@@ -891,33 +1051,29 @@ mod tests {
                 let mut slow = a.clone();
                 slow.map_rows(rf);
                 slow.map_cols(cf);
-                assert_close(fast.data(), slow.data(), 1e-9);
+                assert_eq!(fast, slow, "{nx}x{ny} {row_op:?}/{col_op:?}");
             }
         }
     }
 
     #[test]
-    fn results_identical_across_thread_counts() {
-        for (nx, ny) in [(32usize, 32usize), (24, 20)] {
-            let plan = SpectralPlan::new(nx, ny);
-            let mut a = Array2::zeros(nx, ny);
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    a[(ix, iy)] = ((ix * 7 + iy) % 13) as f64 * 0.25;
-                }
-            }
-            let run = |threads: usize| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let mut scratch = SpectralScratch::new(nx, ny);
-                let mut grid = a.clone();
-                pool.install(|| plan.apply_2d(&mut grid, &mut scratch, RowOp::Dct2, RowOp::Dct2));
-                grid
-            };
-            assert_eq!(run(1), run(4));
-        }
+    fn scratch_for_a_larger_grid_serves_a_smaller_one() {
+        let plan = SpectralPlan::new(12, 20);
+        let mut a = Array2::from_data(12, 20, signal(240));
+        let mut b = a.clone();
+        plan.apply_2d(
+            &mut a,
+            &mut SpectralScratch::new(12, 20),
+            RowOp::Dct2,
+            RowOp::Idxst,
+        );
+        plan.apply_2d(
+            &mut b,
+            &mut SpectralScratch::new(64, 127),
+            RowOp::Dct2,
+            RowOp::Idxst,
+        );
+        assert_eq!(a, b);
     }
 
     #[test]

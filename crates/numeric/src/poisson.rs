@@ -141,8 +141,8 @@ impl PoissonSolver {
     ///
     /// This performs **zero heap allocations** on any grid size: the
     /// four 2-D transforms run through the precomputed [`SpectralPlan`]
-    /// with `scratch` as working memory, with row passes fanned across
-    /// the current rayon pool width.
+    /// on the calling thread, 16 rows or columns per butterfly sweep,
+    /// with `scratch` holding the lane buffers.
     ///
     /// # Panics
     ///

@@ -308,7 +308,10 @@ impl DensityModel {
         let n = positions.len();
         assert_eq!(grad.len(), 2 * n, "gradient buffer length mismatch");
         let phase_start = phases.as_ref().map(|_| std::time::Instant::now());
-        self.rasterize_into(netlist, positions, ws);
+        {
+            let _span = qplacer_obs::span!("density_deposit");
+            self.rasterize_into(netlist, positions, ws);
+        }
         if let (Some(p), Some(start)) = (phases.as_deref_mut(), phase_start) {
             p.deposit_ns = start.elapsed().as_nanos() as u64;
         }
@@ -328,6 +331,7 @@ impl DensityModel {
             p.poisson_ns = start.elapsed().as_nanos() as u64;
         }
         let phase_start = phases.as_ref().map(|_| std::time::Instant::now());
+        let _span = qplacer_obs::span!("field_gather");
 
         let field = &ws.field;
         let instances = netlist.instances();

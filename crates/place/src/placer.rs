@@ -405,7 +405,10 @@ impl GlobalPlacer {
 
         for iter in 0..cfg.max_iterations {
             PlacerWorkspace::unpack(&mut ws.positions, solver.reference());
-            let ewl = wl.energy_grad_into(netlist, &ws.positions, &mut ws.gwl);
+            let ewl = {
+                let _span = qplacer_obs::span!("wirelength");
+                wl.energy_grad_into(netlist, &ws.positions, &mut ws.gwl)
+            };
             // Gradient-only density solve: the loop never consumes the
             // density energy, so the ψ inverse transform is skipped.
             if tracing {
@@ -420,7 +423,10 @@ impl GlobalPlacer {
                 density.grad_into(netlist, &ws.positions, &mut ws.gd, density_ws);
             }
             freq_energy = match &freq {
-                Some(f) => f.energy_grad_into(&ws.positions, &mut ws.gf),
+                Some(f) => {
+                    let _span = qplacer_obs::span!("freq_force");
+                    f.energy_grad_into(&ws.positions, &mut ws.gf)
+                }
                 None => 0.0,
             };
 
@@ -436,30 +442,33 @@ impl GlobalPlacer {
                 initialized = true;
             }
 
-            for i in 0..2 * n {
-                let inst = i % n;
-                let precond = (ws.degree[inst] + lambda * ws.areas[inst]).max(1e-6);
-                ws.grad[i] = (ws.gwl[i] + lambda * ws.gd[i] + lambda_f * ws.gf[i]) / precond;
-            }
-            for &(i, _, _) in &pins {
-                ws.grad[i] = 0.0;
-                ws.grad[n + i] = 0.0;
-            }
-            solver.step(&ws.grad);
+            {
+                let _span = qplacer_obs::span!("nesterov_step");
+                for i in 0..2 * n {
+                    let inst = i % n;
+                    let precond = (ws.degree[inst] + lambda * ws.areas[inst]).max(1e-6);
+                    ws.grad[i] = (ws.gwl[i] + lambda * ws.gd[i] + lambda_f * ws.gf[i]) / precond;
+                }
+                for &(i, _, _) in &pins {
+                    ws.grad[i] = 0.0;
+                    ws.grad[n + i] = 0.0;
+                }
+                solver.step(&ws.grad);
 
-            // Clamp into the region (keeps footprints inside).
-            let half_sizes = &ws.half_sizes;
-            let pins = &pins;
-            solver.override_position(|flat| {
-                for (i, &(hw, hh)) in half_sizes.iter().enumerate() {
-                    flat[i] = flat[i].clamp(region.min.x + hw, region.max.x - hw);
-                    flat[n + i] = flat[n + i].clamp(region.min.y + hh, region.max.y - hh);
-                }
-                for &(i, x, y) in pins {
-                    flat[i] = x;
-                    flat[n + i] = y;
-                }
-            });
+                // Clamp into the region (keeps footprints inside).
+                let half_sizes = &ws.half_sizes;
+                let pins = &pins;
+                solver.override_position(|flat| {
+                    for (i, &(hw, hh)) in half_sizes.iter().enumerate() {
+                        flat[i] = flat[i].clamp(region.min.x + hw, region.max.x - hw);
+                        flat[n + i] = flat[n + i].clamp(region.min.y + hh, region.max.y - hh);
+                    }
+                    for &(i, x, y) in pins {
+                        flat[i] = x;
+                        flat[n + i] = y;
+                    }
+                });
+            }
 
             lambda *= cfg.lambda_growth;
             lambda_f *= cfg.freq_growth;
@@ -481,6 +490,7 @@ impl GlobalPlacer {
                 last_checked.extend_from_slice(pos);
             }
             if iter % 5 == 0 || iter + 1 == cfg.max_iterations {
+                let _span = qplacer_obs::span!("overflow_check");
                 PlacerWorkspace::unpack(&mut ws.positions, solver.position());
                 checked_overflow = density.overflow_with(netlist, &ws.positions, density_ws);
                 trace.push((iter, checked_overflow));

@@ -1,11 +1,12 @@
 //! The parallel hot path must not change results: a paper-config
 //! placement run under a 1-thread rayon pool and under a wide pool must
 //! produce *identical* final positions. Charge deposition reduces a
-//! fixed band structure in fixed order, transform rows and field
-//! gathers are computed independently per row/instance, so no floating-
-//! point reassociation depends on the worker count — nor on which
-//! thread runs a part, which pool reuse and the busy-pool inline path
-//! (two placements sharing one pool) exercise.
+//! fixed band structure in fixed order, field gathers are computed
+//! independently per instance, and the Poisson solve runs on the
+//! calling thread, so no floating-point reassociation depends on the
+//! worker count — nor on which thread runs a part, which pool reuse and
+//! the busy-pool inline path (two placements sharing one pool)
+//! exercise.
 
 use qplacer_freq::FrequencyAssigner;
 use qplacer_netlist::{NetlistConfig, QuantumNetlist};

@@ -6,8 +6,11 @@
 //! every `*_into` kernel is re-run and the allocation counter must not
 //! move. The kernels run under a 1-thread pool (everything inline) and
 //! under a 2-thread pool, whose parked helper takes parts of the
-//! deposit, Poisson row passes and gather: handing work to a helper
-//! must not allocate either.
+//! deposit and gather: handing work to a helper must not allocate
+//! either. The Poisson solve runs on the calling thread with its lane
+//! buffers in the workspace's `SpectralScratch`; the density grids
+//! cover its radix-2 (64²), mixed-radix (30²) and Bluestein (31²)
+//! kernels.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
