@@ -83,9 +83,10 @@ fn coarse_bins(instances: usize) -> usize {
 /// `~2√n` resolution [`crate::DensityModel::for_netlist`] picks, but
 /// 2/3/5-smooth instead of rounded up to the next power of two. At
 /// Condor scale the power-of-two rounding overshoots badly (e.g. 163 →
-/// 256, ~2.5× the bins) and the density stage dominates the refine, so
-/// the smooth grid is both faster and closer to the intended
-/// resolution.
+/// 256, ~2.5× the bins), so the smooth grid stays closer to the
+/// intended resolution. It is also the cheaper field solve: on one
+/// core of a 2-core Xeon, a 180² solve takes 2.7 ms against 3.2 ms at
+/// 256² (best of eight runs each).
 fn fine_bins(instances: usize) -> usize {
     let target = (2.0 * (instances.max(1) as f64).sqrt()).ceil() as usize;
     next_smooth(target.clamp(32, 256))

@@ -442,33 +442,32 @@ impl GlobalPlacer {
                 initialized = true;
             }
 
-            {
-                let _span = qplacer_obs::span!("nesterov_step");
-                for i in 0..2 * n {
-                    let inst = i % n;
-                    let precond = (ws.degree[inst] + lambda * ws.areas[inst]).max(1e-6);
-                    ws.grad[i] = (ws.gwl[i] + lambda * ws.gd[i] + lambda_f * ws.gf[i]) / precond;
-                }
-                for &(i, _, _) in &pins {
-                    ws.grad[i] = 0.0;
-                    ws.grad[n + i] = 0.0;
-                }
-                solver.step(&ws.grad);
-
-                // Clamp into the region (keeps footprints inside).
-                let half_sizes = &ws.half_sizes;
-                let pins = &pins;
-                solver.override_position(|flat| {
-                    for (i, &(hw, hh)) in half_sizes.iter().enumerate() {
-                        flat[i] = flat[i].clamp(region.min.x + hw, region.max.x - hw);
-                        flat[n + i] = flat[n + i].clamp(region.min.y + hh, region.max.y - hh);
-                    }
-                    for &(i, x, y) in pins {
-                        flat[i] = x;
-                        flat[n + i] = y;
-                    }
-                });
+            let step_span = qplacer_obs::span!("nesterov_step");
+            for i in 0..2 * n {
+                let inst = i % n;
+                let precond = (ws.degree[inst] + lambda * ws.areas[inst]).max(1e-6);
+                ws.grad[i] = (ws.gwl[i] + lambda * ws.gd[i] + lambda_f * ws.gf[i]) / precond;
             }
+            for &(i, _, _) in &pins {
+                ws.grad[i] = 0.0;
+                ws.grad[n + i] = 0.0;
+            }
+            solver.step(&ws.grad);
+
+            // Clamp into the region (keeps footprints inside).
+            let half_sizes = &ws.half_sizes;
+            let pins = &pins;
+            solver.override_position(|flat| {
+                for (i, &(hw, hh)) in half_sizes.iter().enumerate() {
+                    flat[i] = flat[i].clamp(region.min.x + hw, region.max.x - hw);
+                    flat[n + i] = flat[n + i].clamp(region.min.y + hh, region.max.y - hh);
+                }
+                for &(i, x, y) in pins {
+                    flat[i] = x;
+                    flat[n + i] = y;
+                }
+            });
+            drop(step_span);
 
             lambda *= cfg.lambda_growth;
             lambda_f *= cfg.freq_growth;
