@@ -3,6 +3,9 @@
 //! seeded from it, hashed bit for bit. Three more cold runs pin the
 //! other spectral kernels: a 30² bin grid (mixed-radix), a 31² grid
 //! (Bluestein) and a three-level V-cycle (mixed-radix coarse grids).
+//! The cold and warm Falcon runs also pin their `PlacementReport`:
+//! the iteration count and the bits of the final overflow, the HPWL and
+//! the frequency energy.
 //!
 //! The engine is deterministic, so these hashes only move when the
 //! floating-point work of a placement changes — a reordered sum in a
@@ -19,13 +22,17 @@
 use qplacer_freq::FrequencyAssigner;
 use qplacer_geometry::Point;
 use qplacer_netlist::{NetlistConfig, QuantumNetlist};
-use qplacer_place::{ExecOptions, GlobalPlacer, PlacerConfig};
+use qplacer_place::{ExecOptions, GlobalPlacer, PlacementReport, PlacerConfig};
 use qplacer_topology::Topology;
 
 /// Cold `PlacerConfig::fast()` Falcon placement.
 const COLD_FALCON_HASH: u64 = 0x0d81_3eda_65ca_6d9f;
 /// Warm re-place of qubit 0 and its resonators from the cold layout.
 const WARM_FALCON_HASH: u64 = 0xfd18_39f2_7120_9197;
+/// Report of the cold Falcon placement.
+const COLD_FALCON_REPORT_HASH: u64 = 0xea5b_80ee_8a4c_47ca;
+/// Report of the warm Falcon re-place.
+const WARM_FALCON_REPORT_HASH: u64 = 0x5f7f_6f1f_3a83_bb4d;
 /// Cold `PlacerConfig::fast()` Falcon placement on a 30² bin grid.
 const COLD_FALCON_BINS30_HASH: u64 = 0xa06f_fda5_d864_af54;
 /// Cold `PlacerConfig::fast()` Falcon placement on a 31² bin grid.
@@ -34,18 +41,36 @@ const COLD_FALCON_BINS31_HASH: u64 = 0x4c5c_0de8_ba8a_58a7;
 /// on the automatic bin grids.
 const COLD_FALCON_LEVELS3_HASH: u64 = 0xeb84_265a_dbe3_377e;
 
-/// FNV-1a over the IEEE-754 bits of every coordinate, in id order.
-fn layout_hash(positions: &[Point]) -> u64 {
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for p in positions {
-        for v in [p.x, p.y] {
-            for byte in v.to_bits().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     h
+}
+
+/// FNV-1a over the IEEE-754 bits of every coordinate, in id order.
+fn layout_hash(positions: &[Point]) -> u64 {
+    fnv1a(
+        positions
+            .iter()
+            .flat_map(|p| [p.x.to_bits(), p.y.to_bits()]),
+    )
+}
+
+/// FNV-1a over the iteration count and the bits of the final overflow,
+/// HPWL and frequency energy.
+fn report_hash(report: &PlacementReport) -> u64 {
+    fnv1a([
+        report.iterations as u64,
+        report.final_overflow.to_bits(),
+        report.hpwl.to_bits(),
+        report.freq_energy.to_bits(),
+    ])
 }
 
 fn falcon() -> (Topology, QuantumNetlist) {
@@ -58,7 +83,8 @@ fn falcon() -> (Topology, QuantumNetlist) {
 #[test]
 fn cold_and_warm_falcon_layouts_match_their_pins() {
     let (t, mut nl) = falcon();
-    GlobalPlacer::new(PlacerConfig::fast()).execute(&mut nl, ExecOptions::default());
+    let cold_report =
+        GlobalPlacer::new(PlacerConfig::fast()).execute(&mut nl, ExecOptions::default());
     let cold = layout_hash(nl.positions());
 
     // Warm re-place: qubit 0 and the segments of its resonators move,
@@ -72,7 +98,7 @@ fn cold_and_warm_falcon_layouts_match_their_pins() {
             }
         }
     }
-    GlobalPlacer::new(PlacerConfig::fast()).execute(
+    let warm_report = GlobalPlacer::new(PlacerConfig::fast()).execute(
         &mut nl,
         ExecOptions {
             pinned: Some(&pinned),
@@ -85,6 +111,12 @@ fn cold_and_warm_falcon_layouts_match_their_pins() {
         (cold, warm),
         (COLD_FALCON_HASH, WARM_FALCON_HASH),
         "layout hashes moved: cold {cold:#018x}, warm {warm:#018x}"
+    );
+    let (cold_report, warm_report) = (report_hash(&cold_report), report_hash(&warm_report));
+    assert_eq!(
+        (cold_report, warm_report),
+        (COLD_FALCON_REPORT_HASH, WARM_FALCON_REPORT_HASH),
+        "report hashes moved: cold {cold_report:#018x}, warm {warm_report:#018x}"
     );
 }
 
