@@ -27,12 +27,59 @@ const DEPOSIT_BANDS: usize = 8;
 #[derive(Debug, Clone)]
 pub struct DensityWorkspace {
     rho: Array2,
-    bands: Vec<Array2>,
+    bands: Vec<DepositBand>,
     field: PoissonField,
     scratch: SpectralScratch,
 }
 
+/// One deposition band's accumulator and how it is refreshed.
+#[derive(Debug, Clone)]
+struct DepositBand {
+    map: Array2,
+    state: BandState,
+}
+
+/// How a deposit band's map is refreshed. Outside a pinned placement
+/// run every band is [`BandState::Live`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BandState {
+    /// Re-deposited on every call.
+    Live,
+    /// Every instance of the band is pinned for the current run: the
+    /// next deposit fills the map and keeps it.
+    Pinned,
+    /// Holds the pinned instances' deposit for the rest of the run.
+    Cached,
+}
+
 impl DensityWorkspace {
+    /// Starts a placement run under `pinned`: every deposit band whose
+    /// instances are all pinned is deposited once, on first use, and
+    /// reused by every later deposit until [`DensityWorkspace::end_run`].
+    /// Sound only while every pinned instance keeps its coordinates
+    /// bit for bit, which the placer guarantees. `None` (a cold run)
+    /// keeps every band live.
+    pub(crate) fn begin_run(&mut self, pinned: Option<&[bool]>) {
+        let n = pinned.map_or(0, <[bool]>::len);
+        let band_len = n.div_ceil(DEPOSIT_BANDS).max(1);
+        for (b, band) in self.bands.iter_mut().enumerate() {
+            let ids = (b * band_len).min(n)..((b + 1) * band_len).min(n);
+            let all_pinned =
+                pinned.is_some_and(|mask| !ids.is_empty() && !mask[ids].contains(&false));
+            band.state = if all_pinned {
+                BandState::Pinned
+            } else {
+                BandState::Live
+            };
+        }
+    }
+
+    /// Ends the run [`DensityWorkspace::begin_run`] started: every band
+    /// is live again, so the workspace can serve another netlist.
+    pub(crate) fn end_run(&mut self) {
+        self.begin_run(None);
+    }
+
     /// The most recently rasterized density map.
     #[must_use]
     pub fn rho(&self) -> &Array2 {
@@ -112,7 +159,10 @@ impl DensityModel {
         DensityWorkspace {
             rho: Array2::zeros(self.nx, self.ny),
             bands: (0..DEPOSIT_BANDS)
-                .map(|_| Array2::zeros(self.nx, self.ny))
+                .map(|_| DepositBand {
+                    map: Array2::zeros(self.nx, self.ny),
+                    state: BandState::Live,
+                })
                 .collect(),
             field: PoissonField::zeros(self.nx, self.ny),
             scratch: self.solver.make_scratch(),
@@ -142,11 +192,16 @@ impl DensityModel {
     ) {
         let instances = netlist.instances();
         let band_len = instances.len().div_ceil(DEPOSIT_BANDS).max(1);
-        let deposit = |band: &mut Array2, chunk: &[qplacer_netlist::Instance]| {
-            band.fill_zero();
+        let deposit = |band: &mut DepositBand, chunk: &[qplacer_netlist::Instance]| {
+            match band.state {
+                BandState::Live => {}
+                BandState::Pinned => band.state = BandState::Cached,
+                BandState::Cached => return,
+            }
+            band.map.fill_zero();
             for inst in chunk {
                 let rect = inst.padded_rect(positions[inst.id()]);
-                self.splat(band, &rect);
+                self.splat(&mut band.map, &rect);
             }
         };
         ws.bands
@@ -156,7 +211,7 @@ impl DensityModel {
         let used_bands = instances.len().div_ceil(band_len).min(DEPOSIT_BANDS);
         ws.rho.fill_zero();
         for band in &ws.bands[..used_bands] {
-            ws.rho.zip_apply(band, |acc, b| acc + b);
+            ws.rho.zip_apply(&band.map, |acc, b| acc + b);
         }
     }
 
@@ -260,7 +315,7 @@ impl DensityModel {
         grad: &mut [f64],
         ws: &mut DensityWorkspace,
     ) -> f64 {
-        self.grad_into_impl(netlist, positions, grad, ws, true, None)
+        self.grad_into_impl(netlist, positions, grad, ws, true, None, None)
     }
 
     /// Gradient-only variant of [`DensityModel::energy_grad_into`]: skips
@@ -278,24 +333,28 @@ impl DensityModel {
         grad: &mut [f64],
         ws: &mut DensityWorkspace,
     ) {
-        let _ = self.grad_into_impl(netlist, positions, grad, ws, false, None);
+        let _ = self.grad_into_impl(netlist, positions, grad, ws, false, None, None);
     }
 
-    /// Like [`DensityModel::grad_into`], but also reports the wall time
-    /// of the three internal phases (deposit, Poisson solve, gather)
-    /// into `phases`. The gradient itself is bit-identical to the
-    /// untraced path; timing flows only into `phases`.
-    pub fn grad_into_timed(
+    /// The placement loop's density gradient: [`DensityModel::grad_into`]
+    /// with the field gathered only for instances not set in `pinned`
+    /// (pinned slots are written `0.0`), and, when `phases` is given,
+    /// the wall time of the deposit, Poisson solve and gather reported
+    /// into it. Free slots are bit-identical to the unmasked gradient;
+    /// timing flows only into `phases`.
+    pub(crate) fn grad_into_with(
         &self,
         netlist: &QuantumNetlist,
         positions: &[Point],
         grad: &mut [f64],
         ws: &mut DensityWorkspace,
-        phases: &mut DensityPhaseNs,
+        pinned: Option<&[bool]>,
+        phases: Option<&mut DensityPhaseNs>,
     ) {
-        let _ = self.grad_into_impl(netlist, positions, grad, ws, false, Some(phases));
+        let _ = self.grad_into_impl(netlist, positions, grad, ws, false, pinned, phases);
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn grad_into_impl(
         &self,
         netlist: &QuantumNetlist,
@@ -303,6 +362,7 @@ impl DensityModel {
         grad: &mut [f64],
         ws: &mut DensityWorkspace,
         want_energy: bool,
+        pinned: Option<&[bool]>,
         mut phases: Option<&mut DensityPhaseNs>,
     ) -> f64 {
         let n = positions.len();
@@ -369,7 +429,11 @@ impl DensityModel {
                     // pins the instances-are-id-ordered invariant the
                     // addressing relies on.
                     debug_assert_eq!(inst.id(), b * band + k);
-                    gather(inst, gx_i, gy_i);
+                    if pinned.is_some_and(|mask| mask[inst.id()]) {
+                        (*gx_i, *gy_i) = (0.0, 0.0);
+                    } else {
+                        gather(inst, gx_i, gy_i);
+                    }
                 }
             });
         if let (Some(p), Some(start)) = (phases, phase_start) {
@@ -380,9 +444,9 @@ impl DensityModel {
 }
 
 /// Wall time of the three phases inside one density-gradient
-/// evaluation, reported by [`DensityModel::grad_into_timed`].
+/// evaluation, reported by [`DensityModel::grad_into_with`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DensityPhaseNs {
+pub(crate) struct DensityPhaseNs {
     /// Charge deposit (rasterization) time, ns.
     pub deposit_ns: u64,
     /// Spectral Poisson solve time, ns.

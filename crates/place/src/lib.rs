@@ -50,7 +50,7 @@ mod multilevel;
 mod placer;
 mod wirelength;
 
-pub use density::{DensityModel, DensityPhaseNs, DensityWorkspace};
+pub use density::{DensityModel, DensityWorkspace};
 pub use freqforce::FrequencyForce;
 pub use multilevel::coarsen_hierarchy;
 pub use placer::{ExecOptions, GlobalPlacer, PlacementReport, PlacerConfig, PlacerWorkspace};

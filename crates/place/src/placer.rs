@@ -20,6 +20,10 @@ use crate::{exact_hpwl, DensityModel, DensityWorkspace, FrequencyForce, Wireleng
 /// gate applies.
 const WARM_STALL_FRACTION: f64 = 1e-3;
 
+/// Upper bound on the overflow-trace capacity reserved per run, so an
+/// outsized iteration cap cannot request a huge reservation.
+const TRACE_RESERVE_CAP: usize = 1 << 16;
+
 /// Reusable buffers for the placement loop: unpacked positions, the four
 /// gradient vectors, per-instance preconditioner data, and the density
 /// kernel's [`DensityWorkspace`].
@@ -32,7 +36,10 @@ const WARM_STALL_FRACTION: f64 = 1e-3;
 /// in the transform and gradient kernels.
 #[derive(Debug, Clone, Default)]
 pub struct PlacerWorkspace {
+    /// Positions of the latest gradient evaluation.
     positions: Vec<Point>,
+    /// Positions of the latest overflow check, then the final layout.
+    checked: Vec<Point>,
     gwl: Vec<f64>,
     gd: Vec<f64>,
     gf: Vec<f64>,
@@ -57,6 +64,7 @@ impl PlacerWorkspace {
     fn ensure(&mut self, n: usize, density: &DensityModel) {
         if self.positions.len() != n {
             self.positions.resize(n, Point::ORIGIN);
+            self.checked.resize(n, Point::ORIGIN);
             self.half_sizes.resize(n, (0.0, 0.0));
             self.degree.resize(n, 0.0);
             self.areas.resize(n, 0.0);
@@ -204,8 +212,10 @@ pub struct PlacementReport {
     pub final_overflow: f64,
     /// Exact half-perimeter wirelength of the result (mm).
     pub hpwl: f64,
-    /// Final frequency-repulsion energy (0 when the force is disabled or
-    /// no collisions exist).
+    /// Frequency-repulsion energy at the positions of the last gradient
+    /// evaluation (0 when the force is disabled, no collisions exist or
+    /// no iteration ran). The loop itself never sums it: one full
+    /// [`FrequencyForce::energy_grad_into`] after the loop computes it.
     pub freq_energy: f64,
     /// Wall-clock seconds spent in the optimization loop.
     pub elapsed_seconds: f64,
@@ -253,10 +263,15 @@ pub struct ExecOptions<'a> {
     pub sink: Option<&'a mut dyn TraceSink>,
     /// Warm-start pin mask for the incremental (ECO) path: the
     /// netlist's current positions are the starting point and instances
-    /// with `pinned[i]` set never move — they still contribute to the
-    /// wirelength, density, and frequency fields, but their gradient is
-    /// zeroed and their coordinates are restored after every solver
-    /// step. Warm runs always use the flat (single-level) engine: the
+    /// with `pinned[i]` set never move — they still feed the
+    /// wirelength, density, and frequency fields, but their coordinates
+    /// are restored after every solver step and, after iteration 0
+    /// (which sets the penalty weights from every instance's gradient),
+    /// their own gradient is not computed: the frequency force skips
+    /// pinned–pinned pairs, the field gather skips pinned instances, and
+    /// deposit bands made only of pinned instances are rasterized once
+    /// per run. Results are bit-identical to computing and discarding
+    /// that work. Warm runs always use the flat (single-level) engine: the
     /// multilevel V-cycle re-clusters globally, which would discard the
     /// warm seed. Must have exactly `netlist.num_instances()` entries.
     pub pinned: Option<&'a [bool]>,
@@ -387,8 +402,10 @@ impl GlobalPlacer {
         let mut lambda_f = 0.0;
         let mut initialized = false;
         let mut iterations = 0;
-        let mut freq_energy = 0.0;
-        let mut trace = Vec::new();
+        // One entry per overflow check (every 5 iterations, plus the
+        // last), reserved up front so steady-state iterations allocate
+        // nothing.
+        let mut trace = Vec::with_capacity(cfg.max_iterations.min(TRACE_RESERVE_CAP) / 5 + 2);
         let mut phase_ns = DensityPhaseNs::default();
         let mut checked_overflow = f64::NAN;
         // Warm runs get a second stop: once positions stall between two
@@ -402,6 +419,9 @@ impl GlobalPlacer {
         let mut last_checked: Vec<f64> = Vec::new();
 
         let (_, _, density_ws) = ws.density.as_mut().expect("ensured above");
+        // Pinned coordinates never change within the run, so deposit
+        // bands made only of pinned instances are rasterized once.
+        density_ws.begin_run(pinned);
 
         for iter in 0..cfg.max_iterations {
             PlacerWorkspace::unpack(&mut ws.positions, solver.reference());
@@ -409,26 +429,24 @@ impl GlobalPlacer {
                 let _span = qplacer_obs::span!("wirelength");
                 wl.energy_grad_into(netlist, &ws.positions, &mut ws.gwl)
             };
+            // Iteration 0 sets λ and λ_f from every instance's gradient;
+            // after it, pinned slots are zeroed below, so the density
+            // gather and the frequency force skip them.
+            let mask = if iter == 0 { None } else { pinned };
             // Gradient-only density solve: the loop never consumes the
             // density energy, so the ψ inverse transform is skipped.
-            if tracing {
-                density.grad_into_timed(
-                    netlist,
-                    &ws.positions,
-                    &mut ws.gd,
-                    density_ws,
-                    &mut phase_ns,
-                );
-            } else {
-                density.grad_into(netlist, &ws.positions, &mut ws.gd, density_ws);
+            density.grad_into_with(
+                netlist,
+                &ws.positions,
+                &mut ws.gd,
+                density_ws,
+                mask,
+                tracing.then_some(&mut phase_ns),
+            );
+            if let Some(f) = &freq {
+                let _span = qplacer_obs::span!("freq_force");
+                f.grad_into(&ws.positions, &mut ws.gf, mask);
             }
-            freq_energy = match &freq {
-                Some(f) => {
-                    let _span = qplacer_obs::span!("freq_force");
-                    f.energy_grad_into(&ws.positions, &mut ws.gf)
-                }
-                None => 0.0,
-            };
 
             if !initialized {
                 let norm = |g: &[f64]| g.iter().map(|v| v.abs()).sum::<f64>().max(1e-12);
@@ -467,6 +485,13 @@ impl GlobalPlacer {
                     flat[n + i] = y;
                 }
             });
+            // The cached deposit bands rely on this: both iterates hold
+            // every pinned coordinate bit for bit.
+            debug_assert!(pins.iter().all(|&(i, x, y)| {
+                [solver.position(), solver.reference()].iter().all(|flat| {
+                    flat[i].to_bits() == x.to_bits() && flat[n + i].to_bits() == y.to_bits()
+                })
+            }));
             drop(step_span);
 
             lambda *= cfg.lambda_growth;
@@ -490,8 +515,8 @@ impl GlobalPlacer {
             }
             if iter % 5 == 0 || iter + 1 == cfg.max_iterations {
                 let _span = qplacer_obs::span!("overflow_check");
-                PlacerWorkspace::unpack(&mut ws.positions, solver.position());
-                checked_overflow = density.overflow_with(netlist, &ws.positions, density_ws);
+                PlacerWorkspace::unpack(&mut ws.checked, solver.position());
+                checked_overflow = density.overflow_with(netlist, &ws.checked, density_ws);
                 trace.push((iter, checked_overflow));
                 qplacer_obs::span_mark!("place_overflow_check", iter = iter);
                 converged = iter >= cfg.min_iterations && checked_overflow < cfg.target_overflow;
@@ -514,11 +539,21 @@ impl GlobalPlacer {
             }
         }
 
-        PlacerWorkspace::unpack(&mut ws.positions, solver.position());
-        netlist.set_positions(&ws.positions);
-        let hpwl = exact_hpwl(netlist, &ws.positions);
+        // `ws.positions` still holds the last gradient evaluation's
+        // positions, where the loop used to sum the energy.
+        let freq_energy = match &freq {
+            Some(f) if iterations > 0 => {
+                let _span = qplacer_obs::span!("freq_force");
+                f.energy_grad_into(&ws.positions, &mut ws.gf)
+            }
+            _ => 0.0,
+        };
+        PlacerWorkspace::unpack(&mut ws.checked, solver.position());
+        netlist.set_positions(&ws.checked);
+        let hpwl = exact_hpwl(netlist, &ws.checked);
         let elapsed = start.elapsed().as_secs_f64();
-        let overflow = density.overflow_with(netlist, &ws.positions, density_ws);
+        let overflow = density.overflow_with(netlist, &ws.checked, density_ws);
+        density_ws.end_run();
 
         PlacementReport {
             iterations,

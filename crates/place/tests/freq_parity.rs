@@ -5,6 +5,11 @@
 //! families, spectra whose pitch is below Δc, coarsened V-cycle levels,
 //! ECO-edited devices and coincident positions.
 //!
+//! The pin-aware gradient (`FrequencyForce::grad_into` with a mask) is
+//! held to the same oracle: every free slot bit for bit, every pinned
+//! slot `0.0`, under random masks and the all-pinned and all-free ones;
+//! unmasked, it must equal `energy_grad_into`'s gradient bit for bit.
+//!
 //! The `#[ignore]`d case runs the paper-scale devices; it is meant for
 //! release builds:
 //! `cargo test --release -p qplacer-place --test freq_parity -- --ignored`.
@@ -52,11 +57,20 @@ fn pair_list_reference(
     (energy, grad, pairs.len())
 }
 
-/// Asserts bit-identical energy and gradient and equal pair counts;
+/// Asserts bit-identical energy and gradient and equal pair counts, and
+/// masked parity under the all-free, all-pinned and alternating masks;
 /// returns the pair count.
 fn assert_parity(netlist: &QuantumNetlist, positions: &[Point]) -> usize {
     let force = FrequencyForce::new(netlist);
     let (e_ref, g_ref, pairs) = pair_list_reference(netlist, force.softening(), positions);
+    let n = positions.len();
+    for mask in [
+        vec![false; n],
+        vec![true; n],
+        (0..n).map(|i| i % 2 == 0).collect(),
+    ] {
+        assert_masked_parity(&force, &g_ref, positions, &mask);
+    }
     assert_eq!(force.pair_count(), pairs, "pair count");
     assert_eq!(force.interaction_count(), 2 * pairs, "interaction count");
     let mut grad = vec![f64::NAN; 2 * positions.len()];
@@ -70,6 +84,48 @@ fn assert_parity(netlist: &QuantumNetlist, positions: &[Point]) -> usize {
         assert_eq!(g.to_bits(), r.to_bits(), "gradient slot {k}: {g} vs {r}");
     }
     pairs
+}
+
+/// Asserts that `grad_into` under `pinned` keeps every free slot of the
+/// oracle gradient `g_ref` bit for bit and writes `0.0` into every
+/// pinned slot, and that the unmasked `grad_into` equals
+/// `energy_grad_into`'s gradient bit for bit.
+fn assert_masked_parity(
+    force: &FrequencyForce,
+    g_ref: &[f64],
+    positions: &[Point],
+    pinned: &[bool],
+) {
+    let n = positions.len();
+    let mut grad = vec![f64::NAN; 2 * n];
+    force.grad_into(positions, &mut grad, Some(pinned));
+    for (k, (g, r)) in grad.iter().zip(g_ref).enumerate() {
+        let want = if pinned[k % n] { 0.0 } else { *r };
+        assert_eq!(
+            g.to_bits(),
+            want.to_bits(),
+            "masked gradient slot {k} (pinned {}): {g} vs {want}",
+            pinned[k % n]
+        );
+    }
+    let mut full = vec![f64::NAN; 2 * n];
+    let _ = force.energy_grad_into(positions, &mut full);
+    let mut plain = vec![f64::NAN; 2 * n];
+    force.grad_into(positions, &mut plain, None);
+    for (k, (g, r)) in plain.iter().zip(&full).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            r.to_bits(),
+            "unmasked gradient slot {k}: {g} vs {r}"
+        );
+    }
+}
+
+/// A seeded mask pinning about `pinned_pct` percent of `n` instances.
+fn seeded_mask(n: usize, seed: u64, pinned_pct: u64) -> Vec<bool> {
+    (0..n as u64)
+        .map(|i| ((i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % 100 < pinned_pct)
+        .collect()
 }
 
 fn build(device: &Topology, assigner: &FrequencyAssigner) -> QuantumNetlist {
@@ -137,6 +193,54 @@ proptest! {
             })
             .collect();
         assert_parity(&nl, &positions);
+    }
+
+    #[test]
+    fn masked_gradient_matches_the_pair_list(
+        device in arb_device(),
+        fine_pitch in 0u8..2,
+        coincident in 0u8..2,
+        seed in 0u64..1000,
+        pinned_pct in 0u64..=100,
+    ) {
+        let assigner = if fine_pitch == 1 {
+            fine_pitch_assigner()
+        } else {
+            FrequencyAssigner::paper_defaults()
+        };
+        let nl = build(&device, &assigner);
+        let n = nl.num_instances();
+        // Coincident layouts stack every third instance on one point.
+        let positions: Vec<Point> = scattered(n, 3.0)
+            .into_iter()
+            .enumerate()
+            .map(|(k, p)| if coincident == 1 && k % 3 == 0 { Point::new(0.5, -0.5) } else { p })
+            .collect();
+        let force = FrequencyForce::new(&nl);
+        let (_, g_ref, _) = pair_list_reference(&nl, force.softening(), &positions);
+        assert_masked_parity(&force, &g_ref, &positions, &seeded_mask(n, seed, pinned_pct));
+    }
+}
+
+#[test]
+fn masked_gradient_matches_the_pair_list_on_v_cycle_levels() {
+    let fine = build(&Topology::falcon27(), &FrequencyAssigner::paper_defaults());
+    let (levels, _) = coarsen_hierarchy(&fine, 3);
+    assert!(!levels.is_empty(), "falcon should coarsen");
+    for (l, level) in levels.iter().enumerate() {
+        let n = level.num_instances();
+        let positions = scattered(n, 2.0);
+        let force = FrequencyForce::new(level);
+        let (_, g_ref, _) = pair_list_reference(level, force.softening(), &positions);
+        for pinned_pct in [10, 50, 90, 99] {
+            let mask = seeded_mask(n, l as u64, pinned_pct);
+            let pinned = mask.iter().filter(|&&p| p).count();
+            assert!(
+                0 < pinned && pinned < n,
+                "level {l}: {pinned} of {n} pinned"
+            );
+            assert_masked_parity(&force, &g_ref, &positions, &mask);
+        }
     }
 }
 

@@ -120,3 +120,51 @@ fn workspace_reuse_does_not_change_results() {
     assert_eq!(report_fresh.iterations, report_reused.iterations);
     assert_eq!(fresh.positions(), reused.positions());
 }
+
+/// A paper-config warm re-place of a 3×3 grid under a `threads`-wide
+/// pool: qubit 4 and its resonators move, everything else is pinned, so
+/// the run takes the pin-aware frequency sweep, the gather over free
+/// instances and the cached deposit bands.
+fn warm_at(threads: usize) -> (QuantumNetlist, [u64; 4]) {
+    let t = Topology::grid(3, 3);
+    let mut nl = build(&t);
+    let placer = GlobalPlacer::new(PlacerConfig::paper());
+    let _ = placer.execute(&mut nl, Default::default());
+    let mut pinned = vec![true; nl.num_instances()];
+    pinned[nl.qubit_instance(4)] = false;
+    for (e, &(a, b)) in t.edges().iter().enumerate() {
+        if a == 4 || b == 4 {
+            for &s in nl.resonator_segments(e) {
+                pinned[s] = false;
+            }
+        }
+    }
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool builds");
+    let report = pool.install(|| {
+        placer.execute(
+            &mut nl,
+            ExecOptions {
+                pinned: Some(&pinned),
+                ..Default::default()
+            },
+        )
+    });
+    let fields = [
+        report.iterations as u64,
+        report.final_overflow.to_bits(),
+        report.hpwl.to_bits(),
+        report.freq_energy.to_bits(),
+    ];
+    (nl, fields)
+}
+
+#[test]
+fn pinned_warm_placement_is_identical_at_1_vs_2_threads() {
+    let (one, one_report) = warm_at(1);
+    let (two, two_report) = warm_at(2);
+    assert_eq!(one_report, two_report, "warm reports diverged");
+    assert_eq!(one.positions(), two.positions(), "warm positions diverged");
+}

@@ -11,9 +11,16 @@
 //! buffers in the workspace's `SpectralScratch`; the density grids
 //! cover its radix-2 (64²), mixed-radix (30²) and Bluestein (31²)
 //! kernels.
+//!
+//! A warm (pinned) placement is also checked a whole iteration at a
+//! time: a trace sink reads the counter after every iteration, so the
+//! pin-aware frequency sweep, the gather over free instances and the
+//! deposit that reuses the all-pinned bands are covered in the loop
+//! that runs them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 struct CountingAlloc;
 
@@ -38,6 +45,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide, so the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = f();
@@ -47,11 +57,16 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
 use qplacer_freq::FrequencyAssigner;
 use qplacer_geometry::Point;
 use qplacer_netlist::{NetlistConfig, QuantumNetlist};
-use qplacer_place::{DensityModel, FrequencyForce, WirelengthModel};
+use qplacer_obs::{TraceRecord, TraceSink};
+use qplacer_place::{
+    DensityModel, ExecOptions, FrequencyForce, GlobalPlacer, PlacerConfig, PlacerWorkspace,
+    WirelengthModel,
+};
 use qplacer_topology::Topology;
 
 #[test]
 fn steady_state_kernels_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let t = Topology::grid(3, 3);
     let freqs = FrequencyAssigner::paper_defaults().assign(&t);
     let nl = QuantumNetlist::build(&t, &freqs, &NetlistConfig::default());
@@ -63,6 +78,7 @@ fn steady_state_kernels_do_not_allocate() {
     let wl = WirelengthModel::new(0.05);
     let freq = FrequencyForce::new(&nl);
     let mut grad = vec![0.0; 2 * n];
+    let pinned: Vec<bool> = (0..n).map(|i| i % 7 != 0).collect();
 
     // 64² runs the radix-2 kernel, 30² the mixed-radix one and 31² the
     // Bluestein one.
@@ -80,6 +96,7 @@ fn steady_state_kernels_do_not_allocate() {
                 let _ = density.energy_grad_into(&nl, &positions, &mut grad, &mut ws);
                 density.grad_into(&nl, &positions, &mut grad, &mut ws);
                 let _ = freq.energy_grad_into(&positions, &mut grad);
+                freq.grad_into(&positions, &mut grad, Some(&pinned));
 
                 let (count, _) = allocations(|| wl.energy_grad_into(&nl, &positions, &mut grad));
                 assert_eq!(
@@ -107,6 +124,16 @@ fn steady_state_kernels_do_not_allocate() {
                     "{threads} threads: frequency kernel allocated {count} times"
                 );
 
+                for mask in [None, Some(pinned.as_slice())] {
+                    let (count, ()) = allocations(|| freq.grad_into(&positions, &mut grad, mask));
+                    assert_eq!(
+                        count,
+                        0,
+                        "{threads} threads: frequency gradient (masked: {}) allocated {count} times",
+                        mask.is_some()
+                    );
+                }
+
                 let (count, _) = allocations(|| density.overflow_with(&nl, &positions, &mut ws));
                 assert_eq!(
                     count, 0,
@@ -114,5 +141,74 @@ fn steady_state_kernels_do_not_allocate() {
                 );
             });
         }
+    }
+}
+
+/// Reads the allocation counter at the end of every placement iteration.
+struct AllocationsPerIteration(Vec<usize>);
+
+impl TraceSink for AllocationsPerIteration {
+    fn record(&mut self, record: &TraceRecord) {
+        if let TraceRecord::PlaceIteration { .. } = record {
+            // Within the reserved capacity: the push does not allocate.
+            self.0.push(ALLOCATIONS.load(Ordering::Relaxed));
+        }
+    }
+}
+
+#[test]
+fn steady_state_warm_iterations_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let t = Topology::grid(3, 3);
+    let freqs = FrequencyAssigner::paper_defaults().assign(&t);
+    let mut cold = QuantumNetlist::build(&t, &freqs, &NetlistConfig::default());
+    let config = PlacerConfig::fast();
+    let placer = GlobalPlacer::new(config);
+    let _ = placer.execute(&mut cold, ExecOptions::default());
+
+    // Qubit 0 and its resonators move; everything else is pinned, so
+    // some deposit bands hold only pinned instances.
+    let mut pinned = vec![true; cold.num_instances()];
+    pinned[cold.qubit_instance(0)] = false;
+    for (e, &(a, b)) in t.edges().iter().enumerate() {
+        if a == 0 || b == 0 {
+            for &s in cold.resonator_segments(e) {
+                pinned[s] = false;
+            }
+        }
+    }
+
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool builds");
+        pool.install(|| {
+            let mut ws = PlacerWorkspace::new();
+            for run in 0..2 {
+                let mut nl = cold.clone();
+                let mut sink = AllocationsPerIteration(Vec::with_capacity(config.max_iterations));
+                let report = placer.execute(
+                    &mut nl,
+                    ExecOptions {
+                        workspace: Some(&mut ws),
+                        sink: Some(&mut sink),
+                        pinned: Some(&pinned),
+                    },
+                );
+                assert!(report.iterations > 10, "{} iterations", report.iterations);
+                // Iteration 0 is a full evaluation and iteration 1 the
+                // first masked one (the force sizes its free list), so
+                // steady state starts at iteration 2.
+                for (iter, pair) in sink.0.windows(2).enumerate().skip(1) {
+                    assert_eq!(
+                        pair[1] - pair[0],
+                        0,
+                        "{threads} threads, run {run}: warm iteration {} allocated",
+                        iter + 1
+                    );
+                }
+            }
+        });
     }
 }
