@@ -540,7 +540,7 @@ impl GlobalPlacer {
         }
 
         // `ws.positions` still holds the last gradient evaluation's
-        // positions, where the loop used to sum the energy.
+        // positions, so the energy matches the final gradient.
         let freq_energy = match &freq {
             Some(f) if iterations > 0 => {
                 let _span = qplacer_obs::span!("freq_force");
