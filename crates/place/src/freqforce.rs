@@ -99,8 +99,6 @@ struct Scratch(Mutex<Buffers>);
 struct Buffers {
     /// Band-ordered `[x…, y…, ∂x…, ∂y…]`.
     coords: Vec<f64>,
-    /// Per band position: free (not pinned) in the current masked call.
-    free: Vec<bool>,
     /// The free band positions of the current masked call, ascending.
     free_list: Vec<u32>,
 }
@@ -332,11 +330,7 @@ impl FrequencyForce {
             .0
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let Buffers {
-            coords,
-            free,
-            free_list,
-        } = &mut *scratch;
+        let Buffers { coords, free_list } = &mut *scratch;
         coords.resize(4 * n, 0.0);
         let (x, rest) = coords.split_at_mut(n);
         let (y, rest) = rest.split_at_mut(n);
@@ -350,12 +344,9 @@ impl FrequencyForce {
         free_list.clear();
         if let Some(mask) = pinned {
             assert_eq!(mask.len(), n, "pin mask length mismatch");
-            free.clear();
-            free.resize(n, false);
-            for (&p, &pin) in self.rank.iter().zip(mask) {
-                free[p as usize] = !pin;
-            }
-            free_list.extend((0..n as u32).filter(|&p| free[p as usize]));
+            let free = self.rank.iter().zip(mask).filter(|&(_, &pin)| !pin);
+            free_list.extend(free.map(|(&p, _)| p));
+            free_list.sort_unstable();
         }
 
         let eps2 = self.softening * self.softening;
