@@ -1,7 +1,5 @@
 //! End-to-end frequency assignment over a device topology.
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 
 use qplacer_obs::{NullTraceSink, TraceRecord, TraceSink};
@@ -246,8 +244,10 @@ impl FrequencyAssigner {
 
     /// Like [`FrequencyAssigner::assign_into`], but emits one
     /// [`TraceRecord::FreqPhase`] per coloring phase (`qubits`,
-    /// `resonators`) into `sink`. Timing flows only into `sink`; the
-    /// assignment itself is bit-identical to the untraced path.
+    /// `resonators`) into `sink`, each timed by its span
+    /// (`freq_color_qubits`, `freq_color_resonators`). Timing flows only
+    /// into `sink` and the spans; the assignment itself is bit-identical
+    /// to the untraced path.
     pub fn assign_traced_into(
         &self,
         topology: &Topology,
@@ -255,11 +255,9 @@ impl FrequencyAssigner {
         out: &mut FrequencyAssignment,
         sink: &mut dyn TraceSink,
     ) {
-        let _span = qplacer_obs::span!("freq_assign", qubits = topology.num_qubits() as u64);
-
         // Qubits: color the radius-R conflict graph, repair on the direct
         // graph.
-        let phase_start = Instant::now();
+        let span = qplacer_obs::span!("freq_color_qubits", items = topology.num_qubits());
         radius_conflicts_into(topology, self.qubit_conflict_radius, ws);
         direct_adjacency_into(topology, ws);
         color_and_slot(ws, self.qubit_band.num_slots());
@@ -268,13 +266,12 @@ impl FrequencyAssigner {
             .extend(ws.slots.iter().map(|&s| self.qubit_band.slot(s)));
         sink.record(&TraceRecord::FreqPhase {
             phase: "qubits",
-            elapsed_ns: phase_start.elapsed().as_nanos() as u64,
+            elapsed_ns: span.finish().as_nanos() as u64,
             items: out.qubits.len() as u64,
         });
-        qplacer_obs::span_mark!("freq_qubits_colored", items = out.qubits.len());
 
         // Resonators: the line graph is both the soft and the hard graph.
-        let phase_start = Instant::now();
+        let span = qplacer_obs::span!("freq_color_resonators", items = topology.num_edges());
         line_graph_into(topology, ws);
         color_and_slot(ws, self.resonator_band.num_slots());
         out.resonators.clear();
@@ -282,10 +279,9 @@ impl FrequencyAssigner {
             .extend(ws.slots.iter().map(|&s| self.resonator_band.slot(s)));
         sink.record(&TraceRecord::FreqPhase {
             phase: "resonators",
-            elapsed_ns: phase_start.elapsed().as_nanos() as u64,
+            elapsed_ns: span.finish().as_nanos() as u64,
             items: out.resonators.len() as u64,
         });
-        qplacer_obs::span_mark!("freq_resonators_colored", items = out.resonators.len());
 
         out.detuning_threshold = self.qubit_band.step();
     }
@@ -319,7 +315,6 @@ impl FrequencyAssigner {
         dirty: &[bool],
         ws: &mut FreqWorkspace,
     ) -> FrequencyAssignment {
-        let _span = qplacer_obs::span!("freq_assign_inc", qubits = topology.num_qubits() as u64);
         let n = topology.num_qubits();
         let m = topology.num_edges();
         assert_eq!(qubit_map.len(), n, "qubit map does not match device");

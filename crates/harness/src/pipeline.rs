@@ -1,7 +1,5 @@
 //! The end-to-end placement pipeline.
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 
 use qplacer_baselines::HumanLayout;
@@ -295,12 +293,12 @@ impl Qplacer {
     ) -> PlacedLayout {
         let _span = qplacer_obs::span!("pipeline", qubits = device.num_qubits() as u64);
         let mut timings = StageTimings::default();
-        let start = Instant::now();
+        let span = qplacer_obs::span!("freq_assign", qubits = device.num_qubits());
         let assignment = self
             .config
             .assigner
             .assign_traced_with(device, &mut ws.freq, sink);
-        timings.assign_ms = start.elapsed().as_secs_f64() * 1e3;
+        timings.assign_ms = span.finish().as_secs_f64() * 1e3;
         match strategy {
             Strategy::Human => {
                 let netlist = HumanLayout::place(device, &assignment, &self.config.netlist);
@@ -335,9 +333,9 @@ impl Qplacer {
                 if strategy == Strategy::Classic {
                     legalizer_cfg = legalizer_cfg.with_resonant_margin(0.0);
                 }
-                let start = Instant::now();
+                let span = qplacer_obs::span!("legalize", instances = netlist.num_instances());
                 let legalization = legalizer_cfg.run_traced(&mut netlist, &mut ws.legal, sink);
-                timings.legalize_ms = start.elapsed().as_secs_f64() * 1e3;
+                timings.legalize_ms = span.finish().as_secs_f64() * 1e3;
                 PlacedLayout {
                     strategy,
                     netlist,

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use qplacer_topology::Topology;
+use qplacer_topology::{Topology, MAX_DEVICE_QUBITS};
 
 use crate::pipeline::{PipelineConfig, Strategy};
 use qplacer_netlist::NetlistConfig;
@@ -158,6 +158,49 @@ impl std::fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
+/// Qubits in [`Topology::heavy_hex`]`(distance)` (`distance ≥ 2`), or
+/// `None` past [`MAX_DEVICE_QUBITS`]: `distance + 2` rows of `3·distance`
+/// qubits (the first and last one short), plus one bridge qubit per
+/// fourth column between neighbouring rows — columns `≡ 0 (mod 4)` below
+/// even rows, `≡ 2` below odd ones, clipped to both rows' spans.
+fn heavy_hex_qubits(distance: usize) -> Option<usize> {
+    let cols = distance.checked_mul(3)?;
+    let row_qubits = cols.checked_mul(distance.checked_add(2)?)? - 2;
+    if row_qubits > MAX_DEVICE_QUBITS {
+        return None;
+    }
+    // Bridge columns `offset + 4k` in `lo..=hi`.
+    let bridges =
+        |offset: usize, lo: usize, hi: usize| (hi - offset) / 4 + 1 - usize::from(lo > offset);
+    let odd_middle = distance / 2; // odd rows among 1..distance
+    let even_middle = distance - 1 - odd_middle;
+    let last_offset = 2 * (distance % 2);
+    let total = row_qubits
+        + bridges(0, 0, cols - 2)
+        + even_middle * bridges(0, 0, cols - 1)
+        + odd_middle * bridges(2, 0, cols - 1)
+        + bridges(last_offset, 1, cols - 1);
+    (total <= MAX_DEVICE_QUBITS).then_some(total)
+}
+
+/// Qubits in [`Topology::xtree`]`(root, branch, levels)`, or `None`
+/// past [`MAX_DEVICE_QUBITS`]: the root plus `root·branch^k` children on
+/// level `k`.
+fn xtree_qubits(root: usize, branch: usize, levels: usize) -> Option<usize> {
+    let mut total = 1usize;
+    let mut width = root;
+    // A non-empty level adds at least one qubit, so the limit (or an
+    // empty level) ends the loop long before a hostile `levels` would.
+    for _ in 0..levels {
+        if width == 0 || total > MAX_DEVICE_QUBITS {
+            break;
+        }
+        total = total.checked_add(width)?;
+        width = width.saturating_mul(branch);
+    }
+    (total <= MAX_DEVICE_QUBITS).then_some(total)
+}
+
 impl DeviceSpec {
     /// Materializes the topology, panicking on invalid specs.
     ///
@@ -176,8 +219,9 @@ impl DeviceSpec {
     }
 
     /// Materializes the topology, validating that the result is a
-    /// placeable device: structural parameters in-domain, at least two
-    /// qubits, and one connected component.
+    /// placeable device: structural parameters in-domain, at most
+    /// [`MAX_DEVICE_QUBITS`] qubits (checked before anything is built),
+    /// at least two qubits, and one connected component.
     ///
     /// # Errors
     ///
@@ -187,11 +231,20 @@ impl DeviceSpec {
             device: self.name(),
             reason: reason.to_string(),
         };
+        // Sizes come from untrusted spellings: count the qubits with
+        // checked arithmetic before a generator allocates anything.
+        let within_limit = |qubits: Option<usize>| match qubits {
+            Some(n) if n <= MAX_DEVICE_QUBITS => Ok(()),
+            _ => Err(bad(&format!(
+                "more than the {MAX_DEVICE_QUBITS}-qubit device limit"
+            ))),
+        };
         let topology = match self {
             DeviceSpec::Grid { width, height } => {
                 if *width == 0 || *height == 0 {
                     return Err(bad("grid dims must be positive"));
                 }
+                within_limit(width.checked_mul(*height))?;
                 Topology::grid(*width, *height)
             }
             DeviceSpec::Falcon27 => Topology::falcon27(),
@@ -200,24 +253,31 @@ impl DeviceSpec {
                 if *distance < 2 {
                     return Err(bad("heavy-hex distance must be at least 2"));
                 }
+                within_limit(heavy_hex_qubits(*distance))?;
                 Topology::heavy_hex(*distance)
             }
             DeviceSpec::Ring { qubits } => {
                 if *qubits < 3 {
                     return Err(bad("a ring needs at least 3 qubits"));
                 }
+                within_limit(Some(*qubits))?;
                 Topology::ring(*qubits)
             }
             DeviceSpec::Ladder { rungs } => {
                 if *rungs < 2 {
                     return Err(bad("a ladder needs at least 2 rungs"));
                 }
+                within_limit(rungs.checked_mul(2))?;
                 Topology::ladder(*rungs)
             }
             DeviceSpec::Aspen { rows, cols } => {
                 if *rows == 0 || *cols == 0 {
                     return Err(bad("octagon lattice dims must be positive"));
                 }
+                within_limit(
+                    rows.checked_mul(*cols)
+                        .and_then(|cells| cells.checked_mul(8)),
+                )?;
                 Topology::aspen(*rows, *cols)
             }
             DeviceSpec::Xtree {
@@ -231,6 +291,7 @@ impl DeviceSpec {
                 if *levels == 0 || (*levels > 1 && *branch == 0) {
                     return Err(bad("xtree needs at least one level of children"));
                 }
+                within_limit(xtree_qubits(*root, *branch, *levels))?;
                 Topology::xtree(*root, *branch, *levels)
             }
             DeviceSpec::Defective {
@@ -297,16 +358,10 @@ impl DeviceSpec {
                 root,
                 branch,
                 levels,
-            } => {
-                // Node count: 1 + root·(1 + b + b² + … + b^{levels-1}).
-                let mut nodes = 1usize;
-                let mut level_width = *root;
-                for _ in 0..*levels {
-                    nodes += level_width;
-                    level_width = level_width.saturating_mul(*branch);
-                }
-                format!("Xtree-{nodes}")
-            }
+            } => match xtree_qubits(*root, *branch, *levels) {
+                Some(nodes) => format!("Xtree-{nodes}"),
+                None => format!("Xtree-{root}x{branch}x{levels}"),
+            },
             DeviceSpec::Defective {
                 base,
                 yield_pct,
@@ -912,5 +967,85 @@ mod tests {
         }
         let message = spec.try_build().unwrap_err().to_string();
         assert!(message.contains("disconnected"), "{message}");
+    }
+
+    #[test]
+    fn qubit_counts_match_the_generators() {
+        for distance in 2..=16 {
+            assert_eq!(
+                heavy_hex_qubits(distance),
+                Some(Topology::heavy_hex(distance).num_qubits()),
+                "heavy-hex d{distance}"
+            );
+        }
+        for (root, branch, levels) in [(1, 0, 1), (3, 2, 2), (4, 3, 3), (2, 1, 5), (3, 0, 4)] {
+            assert_eq!(
+                xtree_qubits(root, branch, levels),
+                Some(Topology::xtree(root, branch, levels).num_qubits()),
+                "xtree {root}/{branch}/{levels}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_parametric_devices_are_rejected_before_building() {
+        use crate::plan::DeviceError;
+        let huge = usize::MAX;
+        for spec in [
+            DeviceSpec::Grid {
+                width: 100_000,
+                height: 100_000,
+            },
+            DeviceSpec::Grid {
+                width: huge,
+                height: 2,
+            },
+            DeviceSpec::HeavyHex {
+                distance: 99_999_999_999,
+            },
+            DeviceSpec::HeavyHex { distance: huge },
+            DeviceSpec::Ring { qubits: huge },
+            DeviceSpec::Ring {
+                qubits: MAX_DEVICE_QUBITS + 1,
+            },
+            DeviceSpec::Ladder { rungs: huge },
+            DeviceSpec::Aspen {
+                rows: huge,
+                cols: 1,
+            },
+            DeviceSpec::Xtree {
+                root: huge,
+                branch: 2,
+                levels: 1,
+            },
+            DeviceSpec::Xtree {
+                root: 2,
+                branch: 1_000,
+                levels: huge,
+            },
+            DeviceSpec::Xtree {
+                root: 1,
+                branch: 1,
+                levels: huge,
+            },
+            DeviceSpec::Defective {
+                base: Box::new(DeviceSpec::HeavyHex { distance: huge }),
+                yield_pct: 90,
+                seed: 1,
+            },
+        ] {
+            match spec.try_build() {
+                Err(DeviceError::BadParameter { reason, .. }) => {
+                    assert!(reason.contains("device limit"), "{spec:?}: {reason}");
+                }
+                other => panic!("{spec:?}: expected BadParameter, got {other:?}"),
+            }
+        }
+        // The limit itself is placeable-sized, not a typo trap.
+        let ring = DeviceSpec::Ring {
+            qubits: MAX_DEVICE_QUBITS,
+        };
+        assert_eq!(ring.try_build().unwrap().num_qubits(), MAX_DEVICE_QUBITS);
+        assert!(DeviceSpec::HeavyHex { distance: 16 }.try_build().is_ok());
     }
 }

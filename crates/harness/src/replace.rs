@@ -31,8 +31,6 @@
 //!
 //! [`FrequencyAssigner::assign_incremental_with`]: qplacer_freq::FrequencyAssigner::assign_incremental_with
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 
 use qplacer_netlist::QuantumNetlist;
@@ -135,7 +133,7 @@ impl Qplacer {
 
         // Stage 1: incremental frequencies. Dirty = the delta's
         // conflict neighborhood at the assigner's own radius.
-        let start = Instant::now();
+        let span = qplacer_obs::span!("freq_assign_inc", qubits = target.num_qubits());
         let dirty = delta.dirty_qubits(base, &target, self.config().assigner.conflict_radius());
         let assignment = self.config().assigner.assign_incremental_with(
             &target,
@@ -145,7 +143,7 @@ impl Qplacer {
             &dirty,
             &mut ws.freq,
         );
-        timings.assign_ms = start.elapsed().as_secs_f64() * 1e3;
+        timings.assign_ms = span.finish().as_secs_f64() * 1e3;
 
         // Stage 2: target netlist on the previous region (when larger),
         // seeded with the previous legalized positions.
@@ -239,10 +237,10 @@ impl Qplacer {
         if prev.strategy == Strategy::Classic {
             legalizer_cfg = legalizer_cfg.with_resonant_margin(0.0);
         }
-        let start = Instant::now();
+        let span = qplacer_obs::span!("legalize", instances = netlist.num_instances());
         let legalization =
             legalizer_cfg.run_incremental_traced(&mut netlist, &mut ws.legal, &pinned, sink);
-        timings.legalize_ms = start.elapsed().as_secs_f64() * 1e3;
+        timings.legalize_ms = span.finish().as_secs_f64() * 1e3;
 
         let moved_instances = (0..netlist.num_instances())
             .filter(|&i| netlist.position(i) != seeded[i])

@@ -1,7 +1,10 @@
 //! The convergence-trace JSONL sidecar must be machine-readable: every
 //! line parses as a JSON object with the documented per-`type` fields,
 //! placer iteration indices are contiguous per job, and every job in
-//! the plan contributes records for all three pipeline stages.
+//! the plan contributes records for all three pipeline stages. The
+//! timing fields come from span guards, which keep their clocks while
+//! spans are disabled (this binary never enables them), so each job's
+//! timings must add up to more than zero.
 
 use qplacer_harness::{DeviceSpec, ExperimentPlan, JobSpec, Profile, RunOptions, Runner, Strategy};
 
@@ -65,6 +68,7 @@ fn trace_jsonl_schema_is_stable() {
         .report;
     assert_eq!(report.records.len(), 2);
 
+    assert!(!qplacer_obs::spans_enabled(), "spans stay disabled here");
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(!text.trim().is_empty(), "trace file must not be empty");
 
@@ -72,6 +76,7 @@ fn trace_jsonl_schema_is_stable() {
     // stage kinds seen.
     let mut next_iteration = vec![0u64; plan.jobs.len()];
     let mut kinds_seen = vec![std::collections::BTreeSet::new(); plan.jobs.len()];
+    let mut timing_ns = vec![0u64; plan.jobs.len()];
     for line in text.lines() {
         let value: serde_json::Value =
             serde_json::from_str(line).unwrap_or_else(|e| panic!("invalid JSON `{line}`: {e}"));
@@ -94,7 +99,7 @@ fn trace_jsonl_schema_is_stable() {
                 );
                 next_iteration[index] += 1;
                 for key in ["deposit_ns", "poisson_ns", "gather_ns"] {
-                    let _ = u64_field(map, key);
+                    timing_ns[index] += u64_field(map, key);
                 }
                 for key in ["overflow", "wirelength", "max_force"] {
                     assert!(
@@ -106,7 +111,7 @@ fn trace_jsonl_schema_is_stable() {
             "legal_phase" | "freq_phase" => {
                 let phase = str_field(map, "phase");
                 assert!(!phase.is_empty());
-                let _ = u64_field(map, "elapsed_ns");
+                timing_ns[index] += u64_field(map, "elapsed_ns");
                 let _ = u64_field(map, "items");
             }
             other => panic!("unknown trace record type `{other}`"),
@@ -123,6 +128,10 @@ fn trace_jsonl_schema_is_stable() {
         assert!(
             next_iteration[index] > 0,
             "job {index} traced no iterations"
+        );
+        assert!(
+            timing_ns[index] > 0,
+            "job {index} reports no time with spans disabled"
         );
     }
 

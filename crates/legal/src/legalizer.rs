@@ -1,7 +1,5 @@
 //! The orchestrating legalizer (all three phases).
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 
 use qplacer_netlist::QuantumNetlist;
@@ -118,9 +116,9 @@ impl Legalizer {
 
     /// Like [`Legalizer::run_with`], but emits one
     /// [`TraceRecord::LegalPhase`] per phase (`qubits`, `segments`,
-    /// `resonators`, `overlap_check`) into `sink`. Timing flows only
-    /// into `sink`; positions and the report are bit-identical to the
-    /// untraced path.
+    /// `resonators`, `overlap_check`) into `sink`, each timed by its
+    /// `legalize_*` span. Timing flows only into `sink` and the spans;
+    /// positions and the report are bit-identical to the untraced path.
     pub fn run_traced(
         &self,
         netlist: &mut QuantumNetlist,
@@ -178,7 +176,6 @@ impl Legalizer {
         sink: &mut dyn TraceSink,
         pinned: Option<&[bool]>,
     ) -> LegalReport {
-        let _span = qplacer_obs::span!("legalize", instances = netlist.num_instances() as u64);
         // The bitmap workspace extends slightly beyond the sized region:
         // mixing incommensurate footprints (e.g. 0.5 mm segments among
         // 0.8 mm qubits) can fragment the last few percent of free space,
@@ -199,8 +196,7 @@ impl Legalizer {
                 ws.tracker.place(netlist, id, netlist.position(id));
             }
         }
-        let phase_start = Instant::now();
-        let qubit_span = qplacer_obs::span!("legalize_qubits", qubits = netlist.num_qubits());
+        let span = qplacer_obs::span!("legalize_qubits", qubits = netlist.num_qubits());
         match self.qubit_legalizer {
             // The incremental path has pinned obstacles only the
             // spiral engine understands.
@@ -236,14 +232,12 @@ impl Legalizer {
                 }
             }
         }
-        drop(qubit_span);
         sink.record(&TraceRecord::LegalPhase {
             phase: "qubits",
-            elapsed_ns: phase_start.elapsed().as_nanos() as u64,
+            elapsed_ns: span.finish().as_nanos() as u64,
             items: netlist.num_qubits() as u64,
         });
-        let phase_start = Instant::now();
-        let segment_span = qplacer_obs::span!(
+        let span = qplacer_obs::span!(
             "legalize_segments",
             segments = netlist.num_instances() - netlist.num_qubits()
         );
@@ -256,30 +250,29 @@ impl Legalizer {
             &mut ws.tetris,
             pinned,
         );
-        drop(segment_span);
         sink.record(&TraceRecord::LegalPhase {
             phase: "segments",
-            elapsed_ns: phase_start.elapsed().as_nanos() as u64,
+            elapsed_ns: span.finish().as_nanos() as u64,
             items: (netlist.num_instances() - netlist.num_qubits()) as u64,
         });
-        let phase_start = Instant::now();
-        let stats = {
-            let _span =
-                qplacer_obs::span!("legalize_resonators", resonators = netlist.num_resonators());
-            integrate_resonators_with(netlist, &mut ws.bitmap, pitch, &mut ws.integ, pinned)
-        };
+        let span = qplacer_obs::span!("legalize_resonators", resonators = netlist.num_resonators());
+        let stats =
+            integrate_resonators_with(netlist, &mut ws.bitmap, pitch, &mut ws.integ, pinned);
         sink.record(&TraceRecord::LegalPhase {
             phase: "resonators",
-            elapsed_ns: phase_start.elapsed().as_nanos() as u64,
+            elapsed_ns: span.finish().as_nanos() as u64,
             items: netlist.num_resonators() as u64,
         });
-        let phase_start = Instant::now();
+        let span = qplacer_obs::span!(
+            "legalize_overlap_check",
+            instances = netlist.num_instances()
+        );
         // Integration leaves its spatial index at the final positions;
         // count remaining overlaps from it instead of rebuilding one.
         let remaining_overlaps = count_overlaps(netlist, &ws.integ.grid, &mut ws.search.query);
         sink.record(&TraceRecord::LegalPhase {
             phase: "overlap_check",
-            elapsed_ns: phase_start.elapsed().as_nanos() as u64,
+            elapsed_ns: span.finish().as_nanos() as u64,
             items: netlist.num_instances() as u64,
         });
 

@@ -186,7 +186,6 @@ impl PoissonSolver {
         assert_eq!(rho.ny(), self.ny, "density grid shape mismatch");
         assert_eq!(field.psi.nx(), self.nx, "field workspace shape mismatch");
         assert_eq!(field.psi.ny(), self.ny, "field workspace shape mismatch");
-        let _span = qplacer_obs::span!("poisson_solve", grid = self.nx as u64);
 
         // Forward 2-D DCT-II of ρ, staged in the ψ buffer.
         {

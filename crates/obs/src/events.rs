@@ -1,11 +1,10 @@
-//! Event-timeline recording: begin/end/instant events with a trace
+//! Event-timeline recording: begin/end events with a trace
 //! context, per-thread buffers, and an always-on flight recorder.
 //!
 //! Where [`span_report`](crate::span_report) answers *"how much time,
 //! on average, per site"*, the event layer answers *"what did request X
-//! actually do, and when"*: every `span!` entry/exit (and every
-//! [`span_mark!`](crate::span_mark!) call) can additionally append one
-//! fixed-size [`Event`] — site id, monotonic nanosecond timestamp,
+//! actually do, and when"*: every `span!` entry/exit can additionally
+//! append one fixed-size [`Event`] — site id, monotonic nanosecond timestamp,
 //! thread id, 64-bit trace id, and a `u64` argument — to a lock-light
 //! per-thread buffer. Instrumentation stays single-source: the existing
 //! `span!` sites feed both the aggregate slots and the timeline.
@@ -13,8 +12,8 @@
 //! Three recording modes ([`EventMode`]):
 //!
 //! - **`Off`** (default) — recording is a single relaxed atomic load
-//!   and nothing else: no thread-local access, no allocation. Combined
-//!   with the span gate, a disabled call site costs one atomic load.
+//!   and nothing else: no thread-local access, no allocation. Behind
+//!   the span gate, a disabled call site records no event at all.
 //! - **`Flight`** — an always-on bounded flight recorder: each thread
 //!   keeps an overwrite-oldest ring of the last
 //!   [`flight_capacity`] events. A slow or wedged process can be
@@ -54,8 +53,6 @@ pub enum EventKind {
     Begin,
     /// A span was exited.
     End,
-    /// A zero-duration marker ([`span_mark!`](crate::span_mark!)).
-    Instant,
 }
 
 /// One recorded timeline event. Fixed-size and `Copy`, so ring
@@ -64,7 +61,7 @@ pub enum EventKind {
 pub struct Event {
     /// Span-site slot index (resolve via the span table).
     pub site: u32,
-    /// Begin / End / Instant.
+    /// Begin / End.
     pub kind: EventKind,
     /// Recorder-assigned dense thread id (stable for a thread's life).
     pub tid: u32,
@@ -72,7 +69,7 @@ pub struct Event {
     pub ts_ns: u64,
     /// Trace id in effect on the recording thread (0 = no context).
     pub trace_id: u64,
-    /// Site argument (`span!(_, key = value)` attachment or mark value).
+    /// Site argument (`span!(_, key = value)` attachment, 0 on End).
     pub arg: u64,
 }
 
@@ -332,9 +329,9 @@ pub(crate) fn record(site: u32, kind: EventKind, arg: u64) {
 /// form (see [`export`](crate::export)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineEvent {
-    /// Span-site name (as given to `span!` / `span_mark!`).
+    /// Span-site name (as given to `span!`).
     pub name: String,
-    /// Begin / End / Instant.
+    /// Begin / End.
     pub kind: EventKind,
     /// Recorder-assigned thread id.
     pub tid: u32,
@@ -449,7 +446,7 @@ mod tests {
             buffer.record(
                 Event {
                     site: 0,
-                    kind: EventKind::Instant,
+                    kind: EventKind::Begin,
                     tid: 7,
                     ts_ns: i,
                     trace_id: 0,
@@ -480,7 +477,7 @@ mod tests {
             buffer.record(
                 Event {
                     site: 0,
-                    kind: EventKind::Instant,
+                    kind: EventKind::Begin,
                     tid: 1,
                     ts_ns: i,
                     trace_id: 0,

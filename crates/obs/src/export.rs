@@ -7,7 +7,7 @@
 //! global recorder state.
 //!
 //! The Chrome exporter emits the [Trace Event Format] (`"B"`/`"E"`
-//! duration events plus `"i"` instants, timestamps in microseconds),
+//! duration events, timestamps in microseconds),
 //! which loads directly in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`. Because a flight-recorder ring overwrites its
 //! oldest events, a dump can open mid-span; the exporter therefore
@@ -61,11 +61,6 @@ fn write_chrome_event(
     out.push_str(",\"cat\":\"qplacer\",\"ph\":\"");
     out.push(ph);
     out.push('"');
-    if ph == 'i' {
-        // Instants need a scope; thread scope matches how they were
-        // recorded.
-        out.push_str(",\"s\":\"t\"");
-    }
     // Trace Event timestamps are microseconds; keep nanosecond
     // precision as a fractional part.
     out.push_str(&format!(
@@ -135,18 +130,6 @@ pub fn chrome_trace_json(events: &[TimelineEvent]) -> String {
                     None,
                 );
             }
-            EventKind::Instant => {
-                emit(&mut out, &mut first);
-                write_chrome_event(
-                    &mut out,
-                    &event.name,
-                    'i',
-                    event.tid,
-                    event.ts_ns,
-                    event.trace_id,
-                    Some(event.arg),
-                );
-            }
         }
     }
     // Synthetic closers for spans still open when the snapshot was cut
@@ -180,7 +163,7 @@ struct Frame {
 /// Renders `events` in the collapsed-stack ("folded") flamegraph
 /// format: one `a;b;c self_ns` line per unique stack, sorted, with
 /// *self* time (total minus children) in nanoseconds as the weight.
-/// Instants and orphan ends are skipped; spans still open at the end of
+/// Orphan ends are skipped; spans still open at the end of
 /// the snapshot are closed at the thread's last timestamp.
 #[must_use]
 pub fn folded_stacks(events: &[TimelineEvent]) -> String {
@@ -218,7 +201,6 @@ pub fn folded_stacks(events: &[TimelineEvent]) -> String {
                     close(frame, event.ts_ns, stack, &mut weights);
                 }
             }
-            EventKind::Instant => {}
         }
     }
     for (tid, mut stack) in stacks {
@@ -271,7 +253,6 @@ pub fn duration_totals_ns(events: &[TimelineEvent]) -> BTreeMap<String, u64> {
                     *totals.entry(name).or_insert(0) += event.ts_ns.saturating_sub(start);
                 }
             }
-            EventKind::Instant => {}
         }
     }
     totals
@@ -297,7 +278,6 @@ mod tests {
         let events = vec![
             event("outer", EventKind::Begin, 1, 100),
             event("inner", EventKind::Begin, 1, 200),
-            event("mark", EventKind::Instant, 1, 250),
             event("inner", EventKind::End, 1, 300),
             event("outer", EventKind::End, 1, 400),
         ];
@@ -308,7 +288,7 @@ mod tests {
             .unwrap()
             .as_seq()
             .unwrap();
-        assert_eq!(trace_events.len(), 5);
+        assert_eq!(trace_events.len(), 4);
         let phases: Vec<&str> = trace_events
             .iter()
             .map(|e| {
@@ -318,7 +298,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        assert_eq!(phases, vec!["B", "B", "i", "E", "E"]);
+        assert_eq!(phases, vec!["B", "B", "E", "E"]);
         assert!(json.contains("\"trace_id\":\"0x0000000000000abc\""));
     }
 
@@ -327,7 +307,6 @@ mod tests {
         let events = vec![
             event("lost", EventKind::End, 1, 50),
             event("open", EventKind::Begin, 1, 100),
-            event("late", EventKind::Instant, 1, 900),
         ];
         let json = chrome_trace_json(&events);
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();
@@ -352,7 +331,7 @@ mod tests {
             phases.push(ph);
         }
         assert_eq!(depth, 0, "every begin closed");
-        assert_eq!(phases, vec!["B", "i", "E"]);
+        assert_eq!(phases, vec!["B", "E"]);
     }
 
     #[test]

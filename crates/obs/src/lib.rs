@@ -10,10 +10,12 @@
 //! - **Spans** ([`span!`], [`span_report`], [`render_span_tree`]) —
 //!   scoped wall-clock timers with thread-local nesting and
 //!   relaxed-atomic aggregation, near-free when disabled (the default)
-//!   and allocation-free when enabled.
+//!   and allocation-free when enabled. A guard's
+//!   [`finish`](SpanGuard::finish) hands back the time it records, so
+//!   every reported duration comes from the span that brackets it.
 //! - **Events** ([`EventMode`], [`event_snapshot`], [`adopt_trace_id`])
 //!   — a per-thread event timeline fed by the same `span!` sites:
-//!   begin/end/instant events with monotonic timestamps and a
+//!   begin/end events with monotonic timestamps and a
 //!   propagated 64-bit trace id, recorded into an unbounded capture
 //!   buffer or an always-on bounded flight recorder
 //!   (overwrite-oldest ring per thread) for post-mortem dumps.

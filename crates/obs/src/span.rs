@@ -4,15 +4,19 @@
 //! A *span site* is one `span!("name")` expansion: a `static` that lazily
 //! claims a slot in a fixed global table on first entry. Entering a span
 //! returns a guard; dropping the guard (including during panic
-//! unwinding) adds the elapsed wall time to the site's totals. The whole
+//! unwinding) adds the elapsed wall time to the site's totals, and
+//! [`SpanGuard::finish`] does the same and also returns that time, so a
+//! caller that reports a scope's duration reads the span's own clock
+//! instead of keeping a second timer. The whole
 //! mechanism is allocation-free: slots live in a fixed `static` array,
 //! the per-thread nesting stack is a const-initialized fixed array, and
 //! site names are `&'static str`.
 //!
 //! Spans are **disabled by default**; [`set_spans_enabled`] flips one
-//! global atomic, and a disabled [`SpanSite::enter`] is a single relaxed
-//! load returning an inert guard — cheap enough to leave in release hot
-//! paths.
+//! global atomic, and a disabled [`SpanSite::enter`] is one relaxed load
+//! plus a clock read, returning a guard that claims no slot, records no
+//! events and aggregates nothing, but can still [`finish`](SpanGuard::finish)
+//! with its elapsed time — cheap enough to leave in release hot paths.
 //!
 //! Timing goes only into observability state, never into placement
 //! results, so the repo's determinism contracts are untouched.
@@ -21,7 +25,7 @@ use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Maximum number of distinct span call sites the global table holds.
 /// Sites past the limit degrade to no-ops instead of failing.
@@ -36,8 +40,8 @@ const NO_PARENT: u32 = u32::MAX;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Globally enables or disables span timing. Disabled spans cost one
-/// relaxed atomic load.
+/// Globally enables or disables span aggregation and events. Disabled
+/// spans cost one relaxed atomic load plus a clock read.
 pub fn set_spans_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }
@@ -146,18 +150,19 @@ impl SpanSite {
     }
 
     /// Enters the span, returning the guard that records elapsed time on
-    /// drop. Inert (and nearly free) while spans are disabled.
+    /// drop. While spans are disabled the guard only holds its start
+    /// time, for [`SpanGuard::finish`].
     pub fn enter(&self) -> SpanGuard {
         self.enter_impl(None)
     }
 
     fn enter_impl(&self, value: Option<u64>) -> SpanGuard {
         if !spans_enabled() {
-            return SpanGuard::inert();
+            return SpanGuard::detached();
         }
         let slot = *self.slot.get_or_init(|| register(self.name));
         if slot == NO_SLOT {
-            return SpanGuard::inert();
+            return SpanGuard::detached();
         }
         if let Some(value) = value {
             SLOTS[slot as usize]
@@ -195,7 +200,7 @@ impl SpanSite {
         crate::events::record(slot, crate::events::EventKind::Begin, value.unwrap_or(0));
         SpanGuard {
             slot,
-            start: Some(Instant::now()),
+            start: Instant::now(),
             pushed,
             _not_send: PhantomData,
         }
@@ -206,58 +211,65 @@ impl SpanSite {
     pub fn enter_with(&self, value: u64) -> SpanGuard {
         self.enter_impl(Some(value))
     }
-
-    /// Records a zero-duration instant event at this site on the event
-    /// timeline, without touching the aggregate counters. A no-op
-    /// unless spans are enabled *and* an event-recording mode is
-    /// active. Prefer the [`span_mark!`](crate::span_mark!) macro.
-    pub fn mark(&self, value: u64) {
-        if !spans_enabled() || !crate::events::events_enabled() {
-            return;
-        }
-        let slot = *self.slot.get_or_init(|| register(self.name));
-        if slot == NO_SLOT {
-            return;
-        }
-        crate::events::record(slot, crate::events::EventKind::Instant, value);
-    }
 }
 
 /// RAII guard for one span entry; records elapsed wall time when
-/// dropped, including during panic unwinding. Must be dropped on the
-/// thread that entered it (it is deliberately `!Send`).
+/// dropped, including during panic unwinding, or when
+/// [`finish`](SpanGuard::finish)ed. Must be dropped on the thread that
+/// entered it (it is deliberately `!Send`).
 #[must_use = "a span guard times the scope it lives in; dropping it immediately records nothing useful"]
 pub struct SpanGuard {
+    /// `NO_SLOT` while detached: spans disabled, the site table full, or
+    /// the time already recorded.
     slot: u32,
-    start: Option<Instant>,
+    start: Instant,
     pushed: bool,
     _not_send: PhantomData<*const ()>,
 }
 
 impl SpanGuard {
-    fn inert() -> Self {
+    fn detached() -> Self {
         SpanGuard {
             slot: NO_SLOT,
-            start: None,
+            start: Instant::now(),
             pushed: false,
             _not_send: PhantomData,
         }
     }
-}
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let ns = start.elapsed().as_nanos() as u64;
+    /// Closes the span and returns its elapsed time. With spans enabled
+    /// the site's total grows by exactly this duration, once (the
+    /// guard's drop then records nothing); with spans disabled only the
+    /// duration is returned.
+    pub fn finish(mut self) -> Duration {
+        let elapsed = self.start.elapsed();
+        self.record(elapsed);
+        elapsed
+    }
+
+    fn record(&mut self, elapsed: Duration) {
+        if self.slot == NO_SLOT {
+            return;
+        }
         let slot = &SLOTS[self.slot as usize];
         slot.count.fetch_add(1, Ordering::Relaxed);
-        slot.total_ns.fetch_add(ns, Ordering::Relaxed);
+        slot.total_ns
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         crate::events::record(self.slot, crate::events::EventKind::End, 0);
         if self.pushed {
             STACK.with(|stack| {
                 let mut stack = stack.borrow_mut();
                 stack.depth = stack.depth.saturating_sub(1);
             });
+        }
+        self.slot = NO_SLOT;
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if self.slot != NO_SLOT {
+            self.record(self.start.elapsed());
         }
     }
 }
@@ -286,28 +298,6 @@ macro_rules! span {
     ($name:literal, $key:ident = $value:expr) => {{
         static __QPLACER_SPAN_SITE: $crate::SpanSite = $crate::SpanSite::new($name);
         __QPLACER_SPAN_SITE.enter_with(($value) as u64)
-    }};
-}
-
-/// Records a zero-duration instant marker on the event timeline (e.g.
-/// one solver iteration). Shares the span-site table with [`span!`], so
-/// markers show up by name in Chrome-trace exports; they do not touch
-/// the aggregate span counters. A no-op unless spans are enabled and an
-/// event-recording mode is active.
-///
-/// ```
-/// qplacer_obs::span_mark!("demo_marker");
-/// qplacer_obs::span_mark!("demo_marker", iteration = 7u64);
-/// ```
-#[macro_export]
-macro_rules! span_mark {
-    ($name:literal) => {{
-        static __QPLACER_SPAN_SITE: $crate::SpanSite = $crate::SpanSite::new($name);
-        __QPLACER_SPAN_SITE.mark(0)
-    }};
-    ($name:literal, $key:ident = $value:expr) => {{
-        static __QPLACER_SPAN_SITE: $crate::SpanSite = $crate::SpanSite::new($name);
-        __QPLACER_SPAN_SITE.mark(($value) as u64)
     }};
 }
 

@@ -32,11 +32,12 @@ pub enum TraceRecord {
         wirelength: f64,
         /// Max-norm of the combined force (gradient) vector.
         max_force: f64,
-        /// Wall time of the density deposit (rasterization), ns.
+        /// Wall time of the density deposit (`density_deposit` span), ns.
         deposit_ns: u64,
-        /// Wall time of the Poisson field solve, ns.
+        /// Wall time of the Poisson field solve (`poisson_solve` span), ns.
         poisson_ns: u64,
-        /// Wall time of the per-instance field gather, ns.
+        /// Wall time of the per-instance field gather (`field_gather`
+        /// span), ns.
         gather_ns: u64,
     },
     /// One legalization phase (`qubits`, `segments`, `resonators`,
@@ -44,7 +45,7 @@ pub enum TraceRecord {
     LegalPhase {
         /// Phase name.
         phase: &'static str,
-        /// Phase wall time, ns.
+        /// Phase wall time (its `legalize_*` span), ns.
         elapsed_ns: u64,
         /// Items the phase processed (cells, segments, ...).
         items: u64,
@@ -53,7 +54,7 @@ pub enum TraceRecord {
     FreqPhase {
         /// Phase name.
         phase: &'static str,
-        /// Phase wall time, ns.
+        /// Phase wall time (its `freq_color_*` span), ns.
         elapsed_ns: u64,
         /// Items the phase colored.
         items: u64,
@@ -148,8 +149,9 @@ pub trait TraceSink {
     fn record(&mut self, record: &TraceRecord);
 
     /// Whether records are actually consumed. Emitters may skip
-    /// computing trace-only values (per-phase timers, force norms) when
-    /// this returns `false`. Defaults to `true`.
+    /// computing trace-only values (such as the placer's force norm)
+    /// when this returns `false`; phase times come from span guards
+    /// that run either way. Defaults to `true`.
     fn is_enabled(&self) -> bool {
         true
     }

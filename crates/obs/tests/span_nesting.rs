@@ -132,3 +132,65 @@ fn concurrent_spans_count_exactly() {
     let s = stat("concurrent_span").unwrap();
     assert_eq!(s.count, (THREADS * PER_THREAD) as u64);
 }
+
+#[test]
+fn finish_returns_exactly_what_it_adds() {
+    let _serial = serial();
+    obs::set_spans_enabled(true);
+    let before = stat("finish_exact").map_or((0, 0), |s| (s.count, s.total_ns));
+    let span = obs::span!("finish_exact");
+    std::thread::sleep(std::time::Duration::from_millis(1));
+    let elapsed = span.finish();
+    let after = stat("finish_exact").expect("finished span registered");
+    assert_eq!(after.count, before.0 + 1);
+    assert_eq!(
+        after.total_ns - before.1,
+        elapsed.as_nanos() as u64,
+        "the returned duration is the one the site aggregated"
+    );
+}
+
+#[test]
+fn disabled_finish_still_times_the_scope() {
+    let _serial = serial();
+    obs::set_spans_enabled(false);
+    let report = obs::span_report();
+    let span = obs::span!("finish_disabled");
+    let nap = std::time::Duration::from_millis(2);
+    std::thread::sleep(nap);
+    let elapsed = span.finish();
+    assert!(elapsed >= nap, "{elapsed:?} < {nap:?}");
+    assert_eq!(
+        obs::span_report(),
+        report,
+        "a disabled guard aggregates nothing"
+    );
+    obs::set_spans_enabled(true);
+}
+
+#[test]
+fn finish_then_drop_counts_once() {
+    let _serial = serial();
+    obs::set_spans_enabled(true);
+    {
+        let _outer = obs::span!("finish_outer");
+        let inner = obs::span!("finish_inner");
+        let _ = inner.finish();
+        // Had the finished guard popped the nesting stack a second time
+        // on drop, this sibling would lose its parent edge.
+        let _sibling = obs::span!("finish_sibling");
+    }
+    {
+        let _root = obs::span!("finish_root");
+    }
+    let report = obs::span_report();
+    let outer = report
+        .iter()
+        .position(|s| s.name == "finish_outer")
+        .expect("outer registered");
+    let inner = stat("finish_inner").unwrap();
+    assert_eq!(inner.count, 1, "finish and drop recorded one entry");
+    assert_eq!(inner.parent, Some(outer));
+    assert_eq!(stat("finish_sibling").unwrap().parent, Some(outer));
+    assert!(stat("finish_root").unwrap().parent.is_none());
+}

@@ -315,7 +315,8 @@ impl DensityModel {
         grad: &mut [f64],
         ws: &mut DensityWorkspace,
     ) -> f64 {
-        self.grad_into_impl(netlist, positions, grad, ws, true, None, None)
+        self.grad_into_impl(netlist, positions, grad, ws, true, None)
+            .0
     }
 
     /// Gradient-only variant of [`DensityModel::energy_grad_into`]: skips
@@ -333,15 +334,15 @@ impl DensityModel {
         grad: &mut [f64],
         ws: &mut DensityWorkspace,
     ) {
-        let _ = self.grad_into_impl(netlist, positions, grad, ws, false, None, None);
+        let _ = self.grad_into_impl(netlist, positions, grad, ws, false, None);
     }
 
     /// The placement loop's density gradient: [`DensityModel::grad_into`]
     /// with the field gathered only for instances not set in `pinned`
-    /// (pinned slots are written `0.0`), and, when `phases` is given,
-    /// the wall time of the deposit, Poisson solve and gather reported
-    /// into it. Free slots are bit-identical to the unmasked gradient;
-    /// timing flows only into `phases`.
+    /// (pinned slots are written `0.0`). Free slots are bit-identical to
+    /// the unmasked gradient. Returns the wall time, in ns, of the
+    /// `density_deposit`, `poisson_solve` and `field_gather` spans, in
+    /// that order.
     pub(crate) fn grad_into_with(
         &self,
         netlist: &QuantumNetlist,
@@ -349,12 +350,13 @@ impl DensityModel {
         grad: &mut [f64],
         ws: &mut DensityWorkspace,
         pinned: Option<&[bool]>,
-        phases: Option<&mut DensityPhaseNs>,
-    ) {
-        let _ = self.grad_into_impl(netlist, positions, grad, ws, false, pinned, phases);
+    ) -> [u64; 3] {
+        self.grad_into_impl(netlist, positions, grad, ws, false, pinned)
+            .1
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Energy (0 unless `want_energy`) and the three phase times of
+    /// [`DensityModel::grad_into_with`].
     fn grad_into_impl(
         &self,
         netlist: &QuantumNetlist,
@@ -363,19 +365,14 @@ impl DensityModel {
         ws: &mut DensityWorkspace,
         want_energy: bool,
         pinned: Option<&[bool]>,
-        mut phases: Option<&mut DensityPhaseNs>,
-    ) -> f64 {
+    ) -> (f64, [u64; 3]) {
         let n = positions.len();
         assert_eq!(grad.len(), 2 * n, "gradient buffer length mismatch");
-        let phase_start = phases.as_ref().map(|_| std::time::Instant::now());
-        {
-            let _span = qplacer_obs::span!("density_deposit");
-            self.rasterize_into(netlist, positions, ws);
-        }
-        if let (Some(p), Some(start)) = (phases.as_deref_mut(), phase_start) {
-            p.deposit_ns = start.elapsed().as_nanos() as u64;
-        }
-        let phase_start = phases.as_ref().map(|_| std::time::Instant::now());
+        let span = qplacer_obs::span!("density_deposit");
+        self.rasterize_into(netlist, positions, ws);
+        let deposit_ns = span.finish().as_nanos() as u64;
+
+        let span = qplacer_obs::span!("poisson_solve", grid = self.nx as u64);
         let mut energy = 0.0;
         if want_energy {
             self.solver
@@ -387,12 +384,9 @@ impl DensityModel {
             self.solver
                 .solve_field_into(&ws.rho, &mut ws.field, &mut ws.scratch);
         }
-        if let (Some(p), Some(start)) = (phases.as_deref_mut(), phase_start) {
-            p.poisson_ns = start.elapsed().as_nanos() as u64;
-        }
-        let phase_start = phases.as_ref().map(|_| std::time::Instant::now());
-        let _span = qplacer_obs::span!("field_gather");
+        let poisson_ns = span.finish().as_nanos() as u64;
 
+        let span = qplacer_obs::span!("field_gather");
         let field = &ws.field;
         let instances = netlist.instances();
         let gather = |inst: &qplacer_netlist::Instance, gx: &mut f64, gy: &mut f64| {
@@ -436,23 +430,9 @@ impl DensityModel {
                     }
                 }
             });
-        if let (Some(p), Some(start)) = (phases, phase_start) {
-            p.gather_ns = start.elapsed().as_nanos() as u64;
-        }
-        energy
+        let gather_ns = span.finish().as_nanos() as u64;
+        (energy, [deposit_ns, poisson_ns, gather_ns])
     }
-}
-
-/// Wall time of the three phases inside one density-gradient
-/// evaluation, reported by [`DensityModel::grad_into_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct DensityPhaseNs {
-    /// Charge deposit (rasterization) time, ns.
-    pub deposit_ns: u64,
-    /// Spectral Poisson solve time, ns.
-    pub poisson_ns: u64,
-    /// Per-instance field gather time, ns.
-    pub gather_ns: u64,
 }
 
 #[cfg(test)]

@@ -23,7 +23,6 @@
 //! bit-identical-across-pool-widths guarantee.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use qplacer_freq::merge_compatible;
 use qplacer_geometry::Point;
@@ -281,8 +280,7 @@ pub(crate) fn run_multilevel(
 ) -> PlacementReport {
     let cfg = *placer.config();
     debug_assert!(cfg.levels > 1, "flat runs must not enter the V-cycle");
-    let start = Instant::now();
-    let _span = qplacer_obs::span!("multilevel_place", levels = cfg.levels as u64);
+    let span = qplacer_obs::span!("multilevel_place", levels = cfg.levels as u64);
 
     let (mut netlists, maps) = {
         let _span = qplacer_obs::span!(
@@ -384,10 +382,8 @@ pub(crate) fn run_multilevel(
     };
     ws.multilevel = Some(state);
 
-    let elapsed = start.elapsed().as_secs_f64();
     report.iterations += total_iterations;
-    report.elapsed_seconds = elapsed;
-    report.seconds_per_iteration = elapsed / report.iterations.max(1) as f64;
+    report.elapsed_seconds = span.finish().as_secs_f64();
     report
 }
 

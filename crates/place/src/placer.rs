@@ -1,14 +1,11 @@
 //! The global placement loop (Eq. 14 and §IV-C1).
 
-use std::time::Instant;
-
 use qplacer_geometry::Point;
 use qplacer_netlist::QuantumNetlist;
 use qplacer_numeric::NesterovSolver;
 use qplacer_obs::{NullTraceSink, TraceRecord, TraceSink};
 use serde::{Deserialize, Serialize};
 
-use crate::density::DensityPhaseNs;
 use crate::{exact_hpwl, DensityModel, DensityWorkspace, FrequencyForce, WirelengthModel};
 
 /// Stall tolerance for warm ([`ExecOptions::pinned`]) runs, as a
@@ -217,10 +214,9 @@ pub struct PlacementReport {
     /// no iteration ran). The loop itself never sums it: one full
     /// [`FrequencyForce::energy_grad_into`] after the loop computes it.
     pub freq_energy: f64,
-    /// Wall-clock seconds spent in the optimization loop.
+    /// Wall-clock seconds of the run: the `global_place` span, or the
+    /// `multilevel_place` span for a V-cycle.
     pub elapsed_seconds: f64,
-    /// Seconds per iteration (Table II's "Avg" column).
-    pub seconds_per_iteration: f64,
     /// Overflow trace sampled every few iterations: `(iteration, overflow)`.
     pub overflow_trace: Vec<(usize, f64)>,
 }
@@ -346,9 +342,8 @@ impl GlobalPlacer {
         sink: &mut dyn TraceSink,
         pinned: Option<&[bool]>,
     ) -> PlacementReport {
-        let start = Instant::now();
         let tracing = sink.is_enabled();
-        let _span = qplacer_obs::span!("global_place", instances = netlist.num_instances() as u64);
+        let span = qplacer_obs::span!("global_place", instances = netlist.num_instances() as u64);
         let cfg = &self.config;
         let region = netlist.region();
         let n = netlist.num_instances();
@@ -406,7 +401,6 @@ impl GlobalPlacer {
         // last), reserved up front so steady-state iterations allocate
         // nothing.
         let mut trace = Vec::with_capacity(cfg.max_iterations.min(TRACE_RESERVE_CAP) / 5 + 2);
-        let mut phase_ns = DensityPhaseNs::default();
         let mut checked_overflow = f64::NAN;
         // Warm runs get a second stop: once positions stall between two
         // overflow checks, further iterations cannot help. A cold run
@@ -435,14 +429,8 @@ impl GlobalPlacer {
             let mask = if iter == 0 { None } else { pinned };
             // Gradient-only density solve: the loop never consumes the
             // density energy, so the ψ inverse transform is skipped.
-            density.grad_into_with(
-                netlist,
-                &ws.positions,
-                &mut ws.gd,
-                density_ws,
-                mask,
-                tracing.then_some(&mut phase_ns),
-            );
+            let [deposit_ns, poisson_ns, gather_ns] =
+                density.grad_into_with(netlist, &ws.positions, &mut ws.gd, density_ws, mask);
             if let Some(f) = &freq {
                 let _span = qplacer_obs::span!("freq_force");
                 f.grad_into(&ws.positions, &mut ws.gf, mask);
@@ -514,11 +502,10 @@ impl GlobalPlacer {
                 last_checked.extend_from_slice(pos);
             }
             if iter % 5 == 0 || iter + 1 == cfg.max_iterations {
-                let _span = qplacer_obs::span!("overflow_check");
+                let _span = qplacer_obs::span!("overflow_check", iter = iter);
                 PlacerWorkspace::unpack(&mut ws.checked, solver.position());
                 checked_overflow = density.overflow_with(netlist, &ws.checked, density_ws);
                 trace.push((iter, checked_overflow));
-                qplacer_obs::span_mark!("place_overflow_check", iter = iter);
                 converged = iter >= cfg.min_iterations && checked_overflow < cfg.target_overflow;
             }
             converged = converged || (iter >= cfg.min_iterations && stalled);
@@ -529,9 +516,9 @@ impl GlobalPlacer {
                     overflow: checked_overflow,
                     wirelength: ewl,
                     max_force,
-                    deposit_ns: phase_ns.deposit_ns,
-                    poisson_ns: phase_ns.poisson_ns,
-                    gather_ns: phase_ns.gather_ns,
+                    deposit_ns,
+                    poisson_ns,
+                    gather_ns,
                 });
             }
             if converged {
@@ -551,7 +538,6 @@ impl GlobalPlacer {
         PlacerWorkspace::unpack(&mut ws.checked, solver.position());
         netlist.set_positions(&ws.checked);
         let hpwl = exact_hpwl(netlist, &ws.checked);
-        let elapsed = start.elapsed().as_secs_f64();
         let overflow = density.overflow_with(netlist, &ws.checked, density_ws);
         density_ws.end_run();
 
@@ -560,8 +546,7 @@ impl GlobalPlacer {
             final_overflow: overflow,
             hpwl,
             freq_energy,
-            elapsed_seconds: elapsed,
-            seconds_per_iteration: elapsed / iterations.max(1) as f64,
+            elapsed_seconds: span.finish().as_secs_f64(),
             overflow_trace: trace,
         }
     }
@@ -707,7 +692,6 @@ mod tests {
         let report = GlobalPlacer::new(PlacerConfig::fast()).execute(&mut nl, Default::default());
         assert!(report.iterations >= 1);
         assert!(report.elapsed_seconds > 0.0);
-        assert!(report.seconds_per_iteration <= report.elapsed_seconds);
         assert!(!report.overflow_trace.is_empty());
         assert!(report.hpwl > 0.0);
     }

@@ -473,3 +473,30 @@ fn non_positive_segment_size_is_refused_at_admission() {
     client.shutdown().expect("shutdown");
     server.join();
 }
+
+/// An oversized parametric device is refused at admission with
+/// `invalid-device` before anything is built (a heavy-hex this large
+/// would need terabytes), and the same connection keeps answering.
+#[test]
+fn oversized_device_is_refused_without_building() {
+    let server = start(1);
+    let addr = server.local_addr();
+    let mut client = ClientBuilder::new(addr).connect().expect("connect");
+    for device in [
+        DeviceSpec::HeavyHex {
+            distance: 99_999_999_999,
+        },
+        DeviceSpec::Ring { qubits: usize::MAX },
+    ] {
+        match client.place(&PlaceJob::fast(device.clone(), Strategy::FrequencyAware)) {
+            Err(ServiceError::Remote { code, message }) => {
+                assert_eq!(code, ErrorCode::InvalidDevice, "{device:?}");
+                assert!(message.contains("limit"), "message was: {message}");
+            }
+            other => panic!("{device:?}: expected invalid-device, got {other:?}"),
+        }
+    }
+    client.ping().expect("the connection is still served");
+    client.shutdown().expect("shutdown");
+    server.join();
+}

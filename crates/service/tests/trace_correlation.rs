@@ -102,7 +102,6 @@ fn client_trace_ids_correlate_a_jobs_events_and_never_cross_jobs() {
                                 pipelines_checked += 1;
                             }
                         }
-                        EventKind::Instant => {}
                     }
                 }
                 _ => {}

@@ -5,6 +5,13 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+/// The largest device, in qubits, that [`Topology::from_json`] imports
+/// and that a parametric device spec may request: ~60× heavy-hex d16
+/// (1066 qubits, the largest zoo member). A device past it would spend
+/// the machine's memory before placement starts, so untrusted sizes are
+/// checked against it before anything is allocated.
+pub const MAX_DEVICE_QUBITS: usize = 65_536;
+
 /// Device family label, used by benchmark reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DeviceClass {

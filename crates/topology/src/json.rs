@@ -22,7 +22,7 @@
 
 use serde::Value;
 
-use crate::graph::{DeviceClass, Topology, TopologyError};
+use crate::graph::{DeviceClass, Topology, TopologyError, MAX_DEVICE_QUBITS};
 
 fn invalid(msg: impl Into<String>) -> TopologyError {
     TopologyError::Invalid(msg.into())
@@ -64,8 +64,8 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// [`TopologyError::Invalid`] on malformed JSON or schema
-    /// violations; the usual [`TopologyError`] construction errors on
+    /// [`TopologyError::Invalid`] on malformed JSON, schema violations,
+    /// or `qubits` above [`MAX_DEVICE_QUBITS`]; the usual [`TopologyError`] construction errors on
     /// out-of-range or self-loop couplers.
     pub fn from_json(text: &str) -> Result<Topology, TopologyError> {
         let value: Value =
@@ -81,6 +81,11 @@ impl Topology {
             lookup(map, "qubits").ok_or_else(|| invalid("missing `qubits`"))?,
             "`qubits`",
         )?;
+        if qubits > MAX_DEVICE_QUBITS {
+            return Err(invalid(format!(
+                "`qubits` is {qubits}, above the {MAX_DEVICE_QUBITS}-qubit device limit"
+            )));
+        }
         let class = match lookup(map, "class") {
             None => DeviceClass::Custom,
             Some(v) => v
@@ -226,6 +231,10 @@ mod tests {
             (
                 r#"{"name": "x", "qubits": 2, "couplers": [], "coords": [[0, 0]]}"#,
                 "coord count mismatch",
+            ),
+            (
+                r#"{"name": "x", "qubits": 99999999999, "couplers": []}"#,
+                "qubit count above the device limit",
             ),
         ] {
             match Topology::from_json(doc) {

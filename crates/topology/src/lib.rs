@@ -46,5 +46,5 @@ mod sampling;
 
 pub use defects::DefectMap;
 pub use delta::TopologyDelta;
-pub use graph::{DeviceClass, Topology, TopologyError};
+pub use graph::{DeviceClass, Topology, TopologyError, MAX_DEVICE_QUBITS};
 pub use sampling::random_connected_subset;

@@ -1208,6 +1208,19 @@ mod tests {
     }
 
     #[test]
+    fn oversized_devices_are_named_errors() {
+        // Each used to abort on allocation, panic, or run unbounded.
+        for device in [
+            "heavy-hex-d99999999999",
+            "ring-18446744073709551615",
+            "grid-100000x100000",
+        ] {
+            let err = cmd_export(&[device.to_string()]).unwrap_err();
+            assert!(err.contains("device limit"), "{device}: {err}");
+        }
+    }
+
+    #[test]
     fn serve_submit_stats_shutdown_round_trip() {
         // Full CLI loop against an in-process server on an ephemeral
         // port (the CLI helpers talk to whatever --addr names).
