@@ -6,30 +6,46 @@
 //! spreading force. The DC component is removed, which is equivalent to
 //! measuring density against the uniform average — overfilled bins push
 //! out, underfilled bins pull in.
+//!
+//! The bin grid is uniform, so a footprint's overlap with a bin splits
+//! into an x-width times a y-height (as in ePlace and DREAMPlace): each
+//! kernel computes a footprint's per-axis overlap weights once and then
+//! gives every bin it covers their product. Every kernel runs on the
+//! calling thread.
 
-use qplacer_geometry::{Point, Rect};
+use std::ops::Range;
+
+use qplacer_geometry::{Point, Rect, GEOM_EPS};
 use qplacer_netlist::QuantumNetlist;
 use qplacer_numeric::{is_fast_path, Array2, PoissonField, PoissonSolver, SpectralScratch};
-use rayon::prelude::*;
 
 /// Fixed number of deposition bands: instances are split into this many
-/// contiguous id-ranges whose charge maps are accumulated independently
-/// (possibly in parallel) and reduced in band order. Because the band
-/// structure is independent of the worker count, the rasterized density
-/// is bit-identical for any rayon pool width.
+/// contiguous id-ranges whose charge maps are accumulated separately and
+/// reduced in band order. A band whose instances are all pinned keeps
+/// its map for a whole warm run (see [`DensityWorkspace::begin_run`]).
 const DEPOSIT_BANDS: usize = 8;
 
 /// Caller-owned scratch for the density kernels: the charge map, the
-/// per-band deposition accumulators, the Poisson field, and the
-/// spectral-transform scratch. Allocate once per model via
-/// [`DensityModel::workspace`]; every kernel call then runs without heap
-/// allocation.
+/// per-band deposition accumulators, the Poisson field, the
+/// spectral-transform scratch, and one footprint's per-axis overlap
+/// weights. Allocate once per model via [`DensityModel::workspace`];
+/// every kernel call then runs without heap allocation.
 #[derive(Debug, Clone)]
 pub struct DensityWorkspace {
     rho: Array2,
     bands: Vec<DepositBand>,
     field: PoissonField,
     scratch: SpectralScratch,
+    weights: AxisWeights,
+}
+
+/// One footprint's overlap with each bin column (`x`, one slot per
+/// column) and each bin row (`y`, one slot per row). Sized to the grid,
+/// so any footprint fits, however wide.
+#[derive(Debug, Clone)]
+struct AxisWeights {
+    x: Vec<f64>,
+    y: Vec<f64>,
 }
 
 /// One deposition band's accumulator and how it is refreshed.
@@ -166,6 +182,10 @@ impl DensityModel {
                 .collect(),
             field: PoissonField::zeros(self.nx, self.ny),
             scratch: self.solver.make_scratch(),
+            weights: AxisWeights {
+                x: vec![0.0; self.nx],
+                y: vec![0.0; self.ny],
+            },
         }
     }
 
@@ -181,9 +201,8 @@ impl DensityModel {
 
     /// Rasterizes padded instance footprints into `ws.rho` without
     /// allocating: instances are split into `DEPOSIT_BANDS` (8) contiguous
-    /// id-ranges deposited independently (in parallel when the current
-    /// rayon pool is wider than one worker) and reduced in fixed band
-    /// order, so the result is bit-identical for any thread count.
+    /// id-ranges, each deposited into its own map, and the maps are
+    /// reduced in fixed band order.
     pub fn rasterize_into(
         &self,
         netlist: &QuantumNetlist,
@@ -192,22 +211,18 @@ impl DensityModel {
     ) {
         let instances = netlist.instances();
         let band_len = instances.len().div_ceil(DEPOSIT_BANDS).max(1);
-        let deposit = |band: &mut DepositBand, chunk: &[qplacer_netlist::Instance]| {
+        for (band, chunk) in ws.bands.iter_mut().zip(instances.chunks(band_len)) {
             match band.state {
                 BandState::Live => {}
                 BandState::Pinned => band.state = BandState::Cached,
-                BandState::Cached => return,
+                BandState::Cached => continue,
             }
             band.map.fill_zero();
             for inst in chunk {
                 let rect = inst.padded_rect(positions[inst.id()]);
-                self.splat(&mut band.map, &rect);
+                self.splat(&mut band.map, &rect, &mut ws.weights);
             }
-        };
-        ws.bands
-            .par_iter_mut()
-            .zip(instances.par_chunks(band_len))
-            .for_each(|(band, chunk)| deposit(band, chunk));
+        }
         let used_bands = instances.len().div_ceil(band_len).min(DEPOSIT_BANDS);
         ws.rho.fill_zero();
         for band in &ws.bands[..used_bands] {
@@ -215,40 +230,59 @@ impl DensityModel {
         }
     }
 
-    fn bin_range(&self, lo: f64, hi: f64, horizontal: bool) -> (usize, usize) {
+    /// The bins `[lo, hi]` touches along one axis (at least one, clamped
+    /// to the grid), with each one's overlap written to `w[bin]`. The
+    /// operands are those of [`Rect::overlap_area`] for the bin
+    /// `origin + i·size .. + size`: the same `GEOM_EPS` interior test (a
+    /// failed test writes `0.0`) and the same `min(hi) − max(lo)`, so the
+    /// product of an x and a y weight is bit for bit the bin's overlap
+    /// area.
+    fn overlap_weights(&self, lo: f64, hi: f64, horizontal: bool, w: &mut [f64]) -> Range<usize> {
         let (origin, size, count) = if horizontal {
             (self.region.min.x, self.bin_w, self.nx)
         } else {
             (self.region.min.y, self.bin_h, self.ny)
         };
-        let first = (((lo - origin) / size).floor().max(0.0)) as usize;
+        let first = ((((lo - origin) / size).floor().max(0.0)) as usize).min(count - 1);
         let last = (((hi - origin) / size).ceil().max(0.0) as usize).min(count);
-        (first.min(count.saturating_sub(1)), last)
+        let bins = first..last.max(first + 1);
+        for (i, w) in w[bins.clone()].iter_mut().enumerate() {
+            let bin_lo = origin + (first + i) as f64 * size;
+            let bin_hi = bin_lo + size;
+            *w = if bin_lo < hi - GEOM_EPS && lo < bin_hi - GEOM_EPS {
+                bin_hi.min(hi) - bin_lo.max(lo)
+            } else {
+                0.0
+            };
+        }
+        bins
     }
 
-    fn splat(&self, rho: &mut Array2, rect: &Rect) {
-        let (x0, x1) = self.bin_range(rect.min.x, rect.max.x, true);
-        let (y0, y1) = self.bin_range(rect.min.y, rect.max.y, false);
-        for iy in y0..y1.max(y0 + 1) {
-            for ix in x0..x1.max(x0 + 1) {
-                let bin = self.bin_rect(ix, iy);
-                let a = bin.overlap_area(rect);
+    /// Fills `weights` for `rect` and returns the bin columns and rows
+    /// it covers.
+    fn footprint_weights(
+        &self,
+        rect: &Rect,
+        weights: &mut AxisWeights,
+    ) -> (Range<usize>, Range<usize>) {
+        let xs = self.overlap_weights(rect.min.x, rect.max.x, true, &mut weights.x);
+        let ys = self.overlap_weights(rect.min.y, rect.max.y, false, &mut weights.y);
+        (xs, ys)
+    }
+
+    fn splat(&self, rho: &mut Array2, rect: &Rect, weights: &mut AxisWeights) {
+        let (xs, ys) = self.footprint_weights(rect, weights);
+        let wx = &weights.x[xs.clone()];
+        for iy in ys {
+            let wy = weights.y[iy];
+            let row = &mut rho.data_mut()[iy * self.nx..][xs.clone()];
+            for (bin, &wx) in row.iter_mut().zip(wx) {
+                let a = wx * wy;
                 if a > 0.0 {
-                    rho[(ix, iy)] += a;
+                    *bin += a;
                 }
             }
         }
-    }
-
-    fn bin_rect(&self, ix: usize, iy: usize) -> Rect {
-        Rect::from_origin_size(
-            Point::new(
-                self.region.min.x + ix as f64 * self.bin_w,
-                self.region.min.y + iy as f64 * self.bin_h,
-            ),
-            self.bin_w,
-            self.bin_h,
-        )
     }
 
     /// Density overflow: the fraction of total instance area sitting above
@@ -300,10 +334,7 @@ impl DensityModel {
     ///
     /// Energy is the electrostatic `½Σ q·ψ`; the gradient of instance `i`
     /// is `−q_i·ξ` sampled as the charge-weighted field over the bins the
-    /// instance covers. Charge deposition and the per-instance field
-    /// gather both fan out across the current rayon pool width; each
-    /// instance's gather is computed independently, so the gradient is
-    /// bit-identical for any thread count.
+    /// instance covers. Every phase runs on the calling thread.
     ///
     /// # Panics
     ///
@@ -387,49 +418,41 @@ impl DensityModel {
         let poisson_ns = span.finish().as_nanos() as u64;
 
         let span = qplacer_obs::span!("field_gather");
-        let field = &ws.field;
-        let instances = netlist.instances();
-        let gather = |inst: &qplacer_netlist::Instance, gx: &mut f64, gy: &mut f64| {
+        let (grad_x, grad_y) = grad.split_at_mut(n);
+        for (i, ((inst, gx), gy)) in netlist
+            .instances()
+            .iter()
+            .zip(grad_x)
+            .zip(grad_y)
+            .enumerate()
+        {
+            // Gradient slots are addressed positionally; this pins the
+            // instances-are-id-ordered invariant the addressing relies on.
+            debug_assert_eq!(inst.id(), i);
+            if pinned.is_some_and(|mask| mask[inst.id()]) {
+                (*gx, *gy) = (0.0, 0.0);
+                continue;
+            }
             let rect = inst.padded_rect(positions[inst.id()]);
-            let (x0, x1) = self.bin_range(rect.min.x, rect.max.x, true);
-            let (y0, y1) = self.bin_range(rect.min.y, rect.max.y, false);
+            let (xs, ys) = self.footprint_weights(&rect, &mut ws.weights);
+            let wx = &ws.weights.x[xs.clone()];
             let mut fx = 0.0;
             let mut fy = 0.0;
-            for iy in y0..y1.max(y0 + 1) {
-                for ix in x0..x1.max(x0 + 1) {
-                    let a = self.bin_rect(ix, iy).overlap_area(&rect);
+            for iy in ys {
+                let wy = ws.weights.y[iy];
+                let ex = &ws.field.ex.row(iy)[xs.clone()];
+                let ey = &ws.field.ey.row(iy)[xs.clone()];
+                for ((&wx, &ex), &ey) in wx.iter().zip(ex).zip(ey) {
+                    let a = wx * wy;
                     if a > 0.0 {
-                        fx += a * field.ex[(ix, iy)];
-                        fy += a * field.ey[(ix, iy)];
+                        fx += a * ex;
+                        fy += a * ey;
                     }
                 }
             }
             // Force = q·E pushes apart; gradient descends, so ∂N/∂x = −q·ξx.
-            *gx = -fx;
-            *gy = -fy;
-        };
-
-        let (grad_x, grad_y) = grad.split_at_mut(n);
-        let threads = rayon::current_num_threads().min(instances.len()).max(1);
-        let band = instances.len().div_ceil(threads).max(1);
-        instances
-            .par_chunks(band)
-            .zip(grad_x.par_chunks_mut(band))
-            .zip(grad_y.par_chunks_mut(band))
-            .enumerate()
-            .for_each(|(b, ((chunk, gx), gy))| {
-                for (k, ((inst, gx_i), gy_i)) in chunk.iter().zip(gx).zip(gy).enumerate() {
-                    // Gradient slots are addressed positionally; this
-                    // pins the instances-are-id-ordered invariant the
-                    // addressing relies on.
-                    debug_assert_eq!(inst.id(), b * band + k);
-                    if pinned.is_some_and(|mask| mask[inst.id()]) {
-                        (*gx_i, *gy_i) = (0.0, 0.0);
-                    } else {
-                        gather(inst, gx_i, gy_i);
-                    }
-                }
-            });
+            (*gx, *gy) = (-fx, -fy);
+        }
         let gather_ns = span.finish().as_nanos() as u64;
         (energy, [deposit_ns, poisson_ns, gather_ns])
     }

@@ -375,10 +375,15 @@ impl GlobalPlacer {
         }
         ws.gf.fill(0.0); // stays zero when the frequency force is off
 
-        // Pack positions [x…, y…].
-        let mut x0 = Vec::with_capacity(2 * n);
-        x0.extend(netlist.positions().iter().map(|p| p.x));
-        x0.extend(netlist.positions().iter().map(|p| p.y));
+        // Pack positions [x…, y…]. One non-finite seed would spread NaN
+        // through every force to the whole layout, so a NaN coordinate
+        // starts at the region centre and ±∞ is clamped into the region;
+        // finite seeds keep their bits.
+        let mut x0 = vec![0.0; 2 * n];
+        for (i, (p, &(hw, hh))) in netlist.positions().iter().zip(&ws.half_sizes).enumerate() {
+            x0[i] = finite_seed(p.x, region.min.x + hw, region.max.x - hw);
+            x0[n + i] = finite_seed(p.y, region.min.y + hh, region.max.y - hh);
+        }
         // Pinned instances keep their seed coordinates exactly: zero
         // gradient plus a hard restore after each step (the region clamp
         // alone could otherwise nudge them).
@@ -549,6 +554,18 @@ impl GlobalPlacer {
             elapsed_seconds: span.finish().as_secs_f64(),
             overflow_trace: trace,
         }
+    }
+}
+
+/// A seed coordinate the loop can start from: NaN becomes the middle of
+/// `[lo, hi]`, ±∞ is clamped into it, and a finite `v` keeps its bits.
+fn finite_seed(v: f64, lo: f64, hi: f64) -> f64 {
+    if v.is_nan() {
+        0.5 * (lo + hi)
+    } else if v.is_infinite() {
+        v.clamp(lo, hi)
+    } else {
+        v
     }
 }
 

@@ -1,12 +1,11 @@
-//! The parallel hot path must not change results: a paper-config
-//! placement run under a 1-thread rayon pool and under a wide pool must
-//! produce *identical* final positions. Charge deposition reduces a
-//! fixed band structure in fixed order, field gathers are computed
-//! independently per instance, and the Poisson solve runs on the
-//! calling thread, so no floating-point reassociation depends on the
-//! worker count — nor on which thread runs a part, which pool reuse and
-//! the busy-pool inline path (two placements sharing one pool)
-//! exercise.
+//! A placement must not depend on the rayon pool it runs under: a
+//! paper-config placement run under a 1-thread pool and under a wide
+//! pool must produce *identical* final positions. Every placer kernel
+//! (charge deposit, Poisson solve, field gather, frequency force) runs
+//! on the calling thread with a fixed summation order, so the pool only
+//! decides which OS thread that is. The harness runs placements as jobs
+//! on its pool, so pool reuse, two placements sharing one pool, and
+//! workspace reuse are exercised too.
 
 use qplacer_freq::FrequencyAssigner;
 use qplacer_netlist::{NetlistConfig, QuantumNetlist};

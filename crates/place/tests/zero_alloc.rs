@@ -4,13 +4,13 @@
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up call (which may fault in lazily-built plan-cache entries),
 //! every `*_into` kernel is re-run and the allocation counter must not
-//! move. The kernels run under a 1-thread pool (everything inline) and
-//! under a 2-thread pool, whose parked helper takes parts of the
-//! deposit and gather: handing work to a helper must not allocate
-//! either. The Poisson solve runs on the calling thread with its lane
-//! buffers in the workspace's `SpectralScratch`; the density grids
-//! cover its radix-2 (64²), mixed-radix (30²) and Bluestein (31²)
-//! kernels.
+//! move. Every kernel runs on the calling thread. The charge deposit,
+//! the field gather and the overflow scan keep a footprint's per-axis
+//! overlap weights in the workspace's grid-sized buffers; the Poisson
+//! solve keeps its lane buffers in the workspace's `SpectralScratch`.
+//! The density grids cover the radix-2 (64²), mixed-radix (30²) and
+//! Bluestein (31²) kernels; a 3 × 5 grid over a region smaller than one
+//! footprint makes the footprints over it span the whole grid.
 //!
 //! A warm (pinned) placement is also checked a whole iteration at a
 //! time: a trace sink reads the counter after every iteration, so the
@@ -55,7 +55,7 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
 }
 
 use qplacer_freq::FrequencyAssigner;
-use qplacer_geometry::Point;
+use qplacer_geometry::{Point, Rect};
 use qplacer_netlist::{NetlistConfig, QuantumNetlist};
 use qplacer_obs::{TraceRecord, TraceSink};
 use qplacer_place::{
@@ -81,66 +81,65 @@ fn steady_state_kernels_do_not_allocate() {
     let pinned: Vec<bool> = (0..n).map(|i| i % 7 != 0).collect();
 
     // 64² runs the radix-2 kernel, 30² the mixed-radix one and 31² the
-    // Bluestein one.
-    for bins in [64, 30, 31] {
-        let density = DensityModel::new(nl.region(), bins, bins);
+    // Bluestein one. The 3 × 5 grid's region is smaller than a
+    // footprint, so a footprint over it covers every bin.
+    let small = Rect::from_origin_size(Point::new(-0.2, -0.3), 0.5, 0.4);
+    let grids = [
+        (nl.region(), 64, 64),
+        (nl.region(), 30, 30),
+        (nl.region(), 31, 31),
+        (small, 3, 5),
+    ];
+    for (region, nx, ny) in grids {
+        let density = DensityModel::new(region, nx, ny);
         let mut ws = density.workspace();
-        for threads in [1, 2] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool builds");
-            pool.install(|| {
-                // Warm-up: populate the process-wide FFT plan cache.
-                let _ = wl.energy_grad_into(&nl, &positions, &mut grad);
-                let _ = density.energy_grad_into(&nl, &positions, &mut grad, &mut ws);
-                density.grad_into(&nl, &positions, &mut grad, &mut ws);
-                let _ = freq.energy_grad_into(&positions, &mut grad);
-                freq.grad_into(&positions, &mut grad, Some(&pinned));
+        // Warm-up: populate the process-wide FFT plan cache.
+        let _ = wl.energy_grad_into(&nl, &positions, &mut grad);
+        let _ = density.energy_grad_into(&nl, &positions, &mut grad, &mut ws);
+        density.grad_into(&nl, &positions, &mut grad, &mut ws);
+        let _ = freq.energy_grad_into(&positions, &mut grad);
+        freq.grad_into(&positions, &mut grad, Some(&pinned));
 
-                let (count, _) = allocations(|| wl.energy_grad_into(&nl, &positions, &mut grad));
-                assert_eq!(
-                    count, 0,
-                    "{threads} threads: wirelength kernel allocated {count} times"
-                );
+        let (count, _) = allocations(|| wl.energy_grad_into(&nl, &positions, &mut grad));
+        assert_eq!(count, 0, "wirelength kernel allocated {count} times");
 
-                let (count, _) =
-                    allocations(|| density.energy_grad_into(&nl, &positions, &mut grad, &mut ws));
-                assert_eq!(
-                    count, 0,
-                    "{bins}² bins, {threads} threads: density kernel allocated {count} times"
-                );
+        let (count, ()) = allocations(|| density.rasterize_into(&nl, &positions, &mut ws));
+        assert_eq!(
+            count, 0,
+            "{nx} × {ny} bins: charge deposit allocated {count} times"
+        );
 
-                let (count, ()) =
-                    allocations(|| density.grad_into(&nl, &positions, &mut grad, &mut ws));
-                assert_eq!(
-                    count, 0,
-                    "{bins}² bins, {threads} threads: density gradient allocated {count} times"
-                );
+        let (count, _) =
+            allocations(|| density.energy_grad_into(&nl, &positions, &mut grad, &mut ws));
+        assert_eq!(
+            count, 0,
+            "{nx} × {ny} bins: density kernel allocated {count} times"
+        );
 
-                let (count, _) = allocations(|| freq.energy_grad_into(&positions, &mut grad));
-                assert_eq!(
-                    count, 0,
-                    "{threads} threads: frequency kernel allocated {count} times"
-                );
+        let (count, ()) = allocations(|| density.grad_into(&nl, &positions, &mut grad, &mut ws));
+        assert_eq!(
+            count, 0,
+            "{nx} × {ny} bins: density gradient allocated {count} times"
+        );
 
-                for mask in [None, Some(pinned.as_slice())] {
-                    let (count, ()) = allocations(|| freq.grad_into(&positions, &mut grad, mask));
-                    assert_eq!(
-                        count,
-                        0,
-                        "{threads} threads: frequency gradient (masked: {}) allocated {count} times",
-                        mask.is_some()
-                    );
-                }
+        let (count, _) = allocations(|| freq.energy_grad_into(&positions, &mut grad));
+        assert_eq!(count, 0, "frequency kernel allocated {count} times");
 
-                let (count, _) = allocations(|| density.overflow_with(&nl, &positions, &mut ws));
-                assert_eq!(
-                    count, 0,
-                    "{bins}² bins, {threads} threads: overflow scan allocated {count} times"
-                );
-            });
+        for mask in [None, Some(pinned.as_slice())] {
+            let (count, ()) = allocations(|| freq.grad_into(&positions, &mut grad, mask));
+            assert_eq!(
+                count,
+                0,
+                "frequency gradient (masked: {}) allocated {count} times",
+                mask.is_some()
+            );
         }
+
+        let (count, _) = allocations(|| density.overflow_with(&nl, &positions, &mut ws));
+        assert_eq!(
+            count, 0,
+            "{nx} × {ny} bins: overflow scan allocated {count} times"
+        );
     }
 }
 
@@ -178,37 +177,29 @@ fn steady_state_warm_iterations_do_not_allocate() {
         }
     }
 
-    for threads in [1, 2] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool builds");
-        pool.install(|| {
-            let mut ws = PlacerWorkspace::new();
-            for run in 0..2 {
-                let mut nl = cold.clone();
-                let mut sink = AllocationsPerIteration(Vec::with_capacity(config.max_iterations));
-                let report = placer.execute(
-                    &mut nl,
-                    ExecOptions {
-                        workspace: Some(&mut ws),
-                        sink: Some(&mut sink),
-                        pinned: Some(&pinned),
-                    },
-                );
-                assert!(report.iterations > 10, "{} iterations", report.iterations);
-                // Iteration 0 is a full evaluation and iteration 1 the
-                // first masked one (the force sizes its free list), so
-                // steady state starts at iteration 2.
-                for (iter, pair) in sink.0.windows(2).enumerate().skip(1) {
-                    assert_eq!(
-                        pair[1] - pair[0],
-                        0,
-                        "{threads} threads, run {run}: warm iteration {} allocated",
-                        iter + 1
-                    );
-                }
-            }
-        });
+    let mut ws = PlacerWorkspace::new();
+    for run in 0..2 {
+        let mut nl = cold.clone();
+        let mut sink = AllocationsPerIteration(Vec::with_capacity(config.max_iterations));
+        let report = placer.execute(
+            &mut nl,
+            ExecOptions {
+                workspace: Some(&mut ws),
+                sink: Some(&mut sink),
+                pinned: Some(&pinned),
+            },
+        );
+        assert!(report.iterations > 10, "{} iterations", report.iterations);
+        // Iteration 0 is a full evaluation and iteration 1 the first
+        // masked one (the force sizes its free list), so steady state
+        // starts at iteration 2.
+        for (iter, pair) in sink.0.windows(2).enumerate().skip(1) {
+            assert_eq!(
+                pair[1] - pair[0],
+                0,
+                "run {run}: warm iteration {} allocated",
+                iter + 1
+            );
+        }
     }
 }
