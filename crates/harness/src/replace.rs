@@ -15,10 +15,11 @@
 //!    when the target device shrank (so pinned instances stay in
 //!    bounds).
 //! 3. **Global placement** — instances whose structure *and* frequency
-//!    are untouched are pinned: they contribute to the density and
-//!    frequency fields but never move
-//!    ([`qplacer_place::ExecOptions::pinned`], always the
-//!    flat engine with a reduced iteration floor).
+//!    are untouched, and whose previous position is finite (for a
+//!    resonator: every segment's), are pinned: they contribute to the
+//!    density and frequency fields but never move
+//!    ([`qplacer_place::ExecOptions::pinned`], always the flat engine
+//!    with a reduced iteration floor).
 //! 4. **Legalization** — pinned instances are pre-marked into the
 //!    occupancy bitmap and resonance tracker; only unpinned instances
 //!    are legalized around them
@@ -157,16 +158,19 @@ impl Qplacer {
 
         // Pin rule: an instance is pinned when its previous position is
         // still exactly right — it survived, sits outside the structural
-        // edit (radius-0 seeds), and kept its frequency (hence its
-        // footprint). Everything else re-places from its warm seed.
+        // edit (radius-0 seeds), kept its frequency (hence its
+        // footprint), and was finite. Everything else re-places from its
+        // warm seed; the placer moves a non-finite seed into the region.
         let seeds = delta.dirty_qubits(base, &target, 0);
         let mut pinned = vec![false; netlist.num_instances()];
         for (q, &mapped) in qubit_map.iter().enumerate() {
             if let Some(bq) = mapped {
                 let inst = netlist.qubit_instance(q);
-                let prev_inst = prev.netlist.qubit_instance(bq);
-                netlist.set_position(inst, prev.netlist.position(prev_inst));
-                pinned[inst] = !seeds[q] && assignment.qubit(q) == prev.assignment.qubit(bq);
+                let seed = prev.netlist.position(prev.netlist.qubit_instance(bq));
+                netlist.set_position(inst, seed);
+                pinned[inst] = !seeds[q]
+                    && assignment.qubit(q) == prev.assignment.qubit(bq)
+                    && !seed.is_degenerate();
             }
         }
         for (e, &mapped) in edge_map.iter().enumerate() {
@@ -180,6 +184,7 @@ impl Qplacer {
                 // the count check guards the pairing above regardless.
                 if assignment.resonator(e) == prev.assignment.resonator(be)
                     && segs.len() == prev_segs.len()
+                    && segs.iter().all(|&s| !netlist.position(s).is_degenerate())
                 {
                     for &s in &segs {
                         pinned[s] = true;

@@ -7,18 +7,34 @@
 //! A counting global allocator wraps the system allocator; the runs
 //! execute under a 1-thread rayon pool (everything inline) and under a
 //! 2-thread pool, whose parked helper takes parts of the parallel
-//! candidate scans.
+//! candidate scans. Only armed threads count: the measuring thread
+//! while it measures, and the pool's helper from its start on. The test
+//! harness's own threads allocate at any moment and are never armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set on the threads a measurement watches. Only their allocations
+    /// count: the test harness's own threads allocate at any moment.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if the calling thread is armed.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -27,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,10 +62,23 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Allocations the armed threads make while `f` runs, armed, on this
+/// one.
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ARMED.with(|a| a.set(true));
     let result = f();
+    ARMED.with(|a| a.set(false));
     (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+}
+
+/// A pool of `threads` whose helpers are armed for their whole life.
+fn armed_pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .start_handler(|_| ARMED.with(|a| a.set(true)))
+        .build()
+        .expect("pool builds")
 }
 
 use qplacer_freq::{FreqWorkspace, FrequencyAssigner};
@@ -71,10 +100,7 @@ fn steady_state_legalization_does_not_allocate() {
     let mut ws = LegalWorkspace::new();
 
     for threads in [1, 2] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool builds");
+        let pool = armed_pool(threads);
         pool.install(|| {
             // Warm-up: size every workspace buffer.
             nl.set_positions(&placed);
@@ -105,10 +131,7 @@ fn steady_state_frequency_assignment_does_not_allocate() {
     let mut out = assigner.assign_with(&t, &mut ws); // warm-up sizes everything
 
     for threads in [1, 2] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool builds");
+        let pool = armed_pool(threads);
         pool.install(|| {
             let (count, ()) = allocations(|| assigner.assign_into(&t, &mut ws, &mut out));
             assert_eq!(

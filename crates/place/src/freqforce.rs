@@ -52,8 +52,10 @@ use qplacer_geometry::Point;
 use qplacer_netlist::QuantumNetlist;
 
 /// Lanes of one branch-free block of the partner sweep: wide enough for
-/// the compiler to emit packed square roots and divisions. On a 2-core
-/// x86-64 Xeon, 16 lanes swept faster than 8 or 32.
+/// the compiler to emit packed square roots and divisions. Built for
+/// x86-64-v3 on a 2-core Xeon, one `energy_grad_into` took 1.13 ms on
+/// Eagle and 13.7 ms on heavy-hex d10 at 16 lanes, against 1.51 / 18.2
+/// ms at 8 and 1.84 / 22.4 ms at 32 (medians of four interleaved rounds).
 const LANES: usize = 16;
 
 /// Pairwise 1/d frequency-repulsion potential over the collision map

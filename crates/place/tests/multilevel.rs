@@ -4,9 +4,11 @@
 //! (non-power-of-two) levels.
 //!
 //! Spans and the allocation counter are process-global, so the tests
-//! serialize on one lock.
+//! serialize on one lock. The counter counts only on the thread a
+//! measurement arms, never on the test harness's own threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -14,9 +16,22 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set on the threads a measurement watches. Only their allocations
+    /// count: the test harness's own threads allocate at any moment.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if the calling thread is armed.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -33,9 +48,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations the armed threads make while `f` runs, armed, on this
+/// one.
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ARMED.with(|a| a.set(true));
     let result = f();
+    ARMED.with(|a| a.set(false));
     (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
 }
 

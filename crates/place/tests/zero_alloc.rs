@@ -1,10 +1,11 @@
 //! Steady-state placement iterations must perform **zero heap
 //! allocations** in the transform and gradient kernels.
 //!
-//! A counting global allocator wraps the system allocator; after a
-//! warm-up call (which may fault in lazily-built plan-cache entries),
-//! every `*_into` kernel is re-run and the allocation counter must not
-//! move. Every kernel runs on the calling thread. The charge deposit,
+//! A counting global allocator wraps the system allocator and counts
+//! only on the thread a measurement arms, so the test harness's own
+//! threads cannot leak into a window. After a warm-up call (which may
+//! fault in lazily-built plan-cache entries), every `*_into` kernel is
+//! re-run and the allocation counter must not move. Every kernel runs on the calling thread. The charge deposit,
 //! the field gather and the overflow scan keep a footprint's per-axis
 //! overlap weights in the workspace's grid-sized buffers; the Poisson
 //! solve keeps its lane buffers in the workspace's `SpectralScratch`.
@@ -19,6 +20,7 @@
 //! that runs them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -26,9 +28,22 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set on the threads a measurement watches. Only their allocations
+    /// count: the test harness's own threads allocate at any moment.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if the calling thread is armed.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -37,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,9 +63,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// The counter is process-wide, so the tests take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+/// Runs `f` with the calling thread armed.
+fn armed<R>(f: impl FnOnce() -> R) -> R {
+    ARMED.with(|a| a.set(true));
+    let result = f();
+    ARMED.with(|a| a.set(false));
+    result
+}
+
+/// Allocations the armed threads make while `f` runs on this one.
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
+    let result = armed(f);
     (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
 }
 
@@ -181,14 +205,16 @@ fn steady_state_warm_iterations_do_not_allocate() {
     for run in 0..2 {
         let mut nl = cold.clone();
         let mut sink = AllocationsPerIteration(Vec::with_capacity(config.max_iterations));
-        let report = placer.execute(
-            &mut nl,
-            ExecOptions {
-                workspace: Some(&mut ws),
-                sink: Some(&mut sink),
-                pinned: Some(&pinned),
-            },
-        );
+        let report = armed(|| {
+            placer.execute(
+                &mut nl,
+                ExecOptions {
+                    workspace: Some(&mut ws),
+                    sink: Some(&mut sink),
+                    pinned: Some(&pinned),
+                },
+            )
+        });
         assert!(report.iterations > 10, "{} iterations", report.iterations);
         // Iteration 0 is a full evaluation and iteration 1 the first
         // masked one (the force sizes its free list), so steady state

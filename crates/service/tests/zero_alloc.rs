@@ -13,17 +13,34 @@
 //!   allocation count (model + report construction), independent of
 //!   how many requests the worker already served — i.e. no steady-state
 //!   buffer growth.
+//!
+//! The counting allocator counts only on the measuring thread while it
+//! measures; every stage runs on that thread under a 1-thread pool.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set on the threads a measurement watches. Only their allocations
+    /// count: the test harness's own threads allocate at any moment.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if the calling thread is armed.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -51,9 +68,13 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Allocations the armed threads make while `f` runs, armed, on this
+/// one.
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ARMED.with(|a| a.set(true));
     let result = f();
+    ARMED.with(|a| a.set(false));
     (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
 }
 
