@@ -11,12 +11,18 @@ use qplacer_netlist::QuantumNetlist;
 use qplacer_topology::{random_connected_subset, Topology};
 
 use crate::fidelity::{FidelityModel, FidelityParams};
+use crate::hotspot::HotspotReport;
 
 /// Aggregated evaluation of one benchmark on one placed layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BenchmarkEvaluation {
     /// Fidelity per evaluated subset.
     pub fidelities: Vec<f64>,
+    /// `ln F` per evaluated subset ([`FidelityBreakdown::log_fidelity`]),
+    /// finite where the matching entry of `fidelities` underflows to 0.
+    ///
+    /// [`FidelityBreakdown::log_fidelity`]: crate::FidelityBreakdown::log_fidelity
+    pub log_fidelities: Vec<f64>,
     /// Arithmetic mean fidelity (the Fig. 11 bar value).
     pub mean_fidelity: f64,
     /// Worst subset fidelity.
@@ -40,6 +46,33 @@ impl BenchmarkEvaluation {
     }
 }
 
+// Hand-written so that evaluations serialized before `log_fidelities`
+// existed keep deserializing, with `ln` of each fidelity in its place;
+// the vendored serde derive has no `#[serde(default)]`.
+impl Deserialize for BenchmarkEvaluation {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = value
+            .as_map()
+            .ok_or_else(|| serde::Error::expected("map", "BenchmarkEvaluation"))?;
+        let field = |key: &str| serde::Value::field(map, key);
+        let fidelities: Vec<f64> = Deserialize::from_value(field("fidelities")?)?;
+        let log_fidelities = match map.iter().find(|(k, _)| k.as_str() == "log_fidelities") {
+            Some((_, v)) => Deserialize::from_value(v)?,
+            None => fidelities.iter().map(|f| f.ln()).collect(),
+        };
+        Ok(Self {
+            fidelities,
+            log_fidelities,
+            mean_fidelity: Deserialize::from_value(field("mean_fidelity")?)?,
+            min_fidelity: Deserialize::from_value(field("min_fidelity")?)?,
+            mean_active_violations: Deserialize::from_value(field("mean_active_violations")?)?,
+            requested_subsets: Deserialize::from_value(field("requested_subsets")?)?,
+            skipped_too_large: Deserialize::from_value(field("skipped_too_large")?)?,
+            skipped_unroutable: Deserialize::from_value(field("skipped_unroutable")?)?,
+        })
+    }
+}
+
 /// Evaluates `circuit` on `num_subsets` random connected subsets of the
 /// device (the paper uses 50), with routing, peephole optimization (the
 /// Qiskit-L3 substitute), ASAP scheduling, and the Eq. 15 fidelity model.
@@ -52,10 +85,13 @@ impl BenchmarkEvaluation {
 /// [`BenchmarkEvaluation::skipped_unroutable`]; the fidelity statistics
 /// cover whatever remains.
 ///
-/// The per-subset work (routing, peephole, scheduling, fidelity) fans
-/// out across the current rayon thread pool. Results are independent of
-/// the thread count: subsets are drawn serially from `seed` up front,
-/// and per-subset outcomes are folded back in draw order.
+/// The layout's spatial violations depend on the layout alone, so
+/// [`HotspotReport::scan`] runs once per call and every subset reads
+/// that one report. The per-subset work (routing, peephole, scheduling,
+/// the fidelity model) fans out across the current rayon thread pool.
+/// Results are independent of the thread count: subsets are drawn
+/// serially from `seed` up front, and per-subset outcomes are folded
+/// back in draw order.
 ///
 /// # Examples
 ///
@@ -90,6 +126,7 @@ pub fn evaluate_benchmark(
     seed: u64,
     params: &FidelityParams,
 ) -> BenchmarkEvaluation {
+    let _span = qplacer_obs::span!("evaluate", subsets = num_subsets);
     // Draw every subset serially up front so the stream of RNG values —
     // and therefore the evaluated mappings — is identical for every
     // thread count (and to the historical serial implementation).
@@ -105,11 +142,13 @@ pub fn evaluate_benchmark(
 
     let router = Router::new(device);
     let model = FidelityModel::new(*params);
+    let hotspots = HotspotReport::scan(netlist, &params.hotspot);
 
-    // Routing + peephole + scheduling + the fidelity model dominate the
-    // cost; fan them out across the current thread pool. `collect`
-    // preserves draw order, keeping results deterministic.
-    let outcomes: Vec<Option<(f64, f64)>> = subsets
+    // Per subset: routing, peephole, scheduling, and the fidelity model
+    // over the one hotspot report scanned above. Fan them out across
+    // the current thread pool; `collect` preserves draw order, keeping
+    // results deterministic.
+    let outcomes: Vec<Option<(f64, f64, f64)>> = subsets
         .par_iter()
         .map(|subset| {
             let Ok(mut routed) = router.route(circuit, subset) else {
@@ -121,16 +160,18 @@ pub fn evaluate_benchmark(
             optimize_peephole(&mut as_circuit);
             routed.gates = as_circuit.gates().to_vec();
             let schedule = Schedule::asap(&routed);
-            let f = model.evaluate(netlist, &routed, &schedule);
-            Some((f.total, f.active_violations as f64))
+            let f = model.evaluate(netlist, &hotspots, &routed, &schedule);
+            Some((f.total, f.log_fidelity, f.active_violations as f64))
         })
         .collect();
 
     let skipped_unroutable = outcomes.iter().filter(|o| o.is_none()).count();
     let mut fidelities = Vec::with_capacity(outcomes.len());
+    let mut log_fidelities = Vec::with_capacity(outcomes.len());
     let mut violations = Vec::with_capacity(outcomes.len());
-    for (f, v) in outcomes.into_iter().flatten() {
+    for (f, log_f, v) in outcomes.into_iter().flatten() {
         fidelities.push(f);
+        log_fidelities.push(log_f);
         violations.push(v);
     }
 
@@ -153,6 +194,7 @@ pub fn evaluate_benchmark(
         skipped_too_large,
         skipped_unroutable,
         fidelities,
+        log_fidelities,
     }
 }
 
@@ -227,6 +269,67 @@ mod tests {
         for &f in &e.fidelities {
             assert!((0.0..=1.0).contains(&f));
         }
+    }
+
+    #[test]
+    fn log_fidelity_stays_finite_where_fidelity_underflows() {
+        // qv-32 on Eagle: gate and decoherence errors alone drive the
+        // linear product below the smallest subnormal.
+        let device = Topology::eagle127();
+        let nl = spread_netlist(&device);
+        let circuit = qplacer_circuits::benchmark_by_name("qv-32")
+            .unwrap()
+            .circuit;
+        let e = evaluate_benchmark(&nl, &device, &circuit, 2, 0xF1D0, &FidelityParams::paper());
+        assert_eq!(e.fidelities.len(), 2);
+        assert_eq!(
+            e.min_fidelity, 0.0,
+            "F should underflow: {:?}",
+            e.fidelities
+        );
+        let worst = e.log_fidelities.iter().copied().fold(0.0, f64::min);
+        assert!(
+            worst.is_finite() && worst < f64::MIN_POSITIVE.ln(),
+            "ln F {worst}"
+        );
+        for (&f, &log_f) in e.fidelities.iter().zip(&e.log_fidelities) {
+            assert!(log_f.is_finite());
+            if f > 0.0 {
+                assert!(
+                    (f.ln() - log_f).abs() < 1e-9 * log_f.abs(),
+                    "{f} vs e^{log_f}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn records_without_log_fidelities_still_deserialize() {
+        let device = Topology::falcon27();
+        let nl = spread_netlist(&device);
+        let e = evaluate_benchmark(
+            &nl,
+            &device,
+            &generators::bv(4),
+            3,
+            5,
+            &FidelityParams::paper(),
+        );
+        let json = serde_json::to_string(&e).unwrap();
+        assert_eq!(
+            serde_json::from_str::<BenchmarkEvaluation>(&json).unwrap(),
+            e
+        );
+
+        let mut old = serde_json::from_str::<serde_json::Value>(&json).unwrap();
+        if let serde_json::Value::Map(fields) = &mut old {
+            fields.retain(|(k, _)| k != "log_fidelities");
+        }
+        let parsed: BenchmarkEvaluation =
+            serde_json::from_str(&serde_json::to_string(&old).unwrap()).unwrap();
+        assert_eq!(parsed.fidelities, e.fidelities);
+        let lns: Vec<f64> = e.fidelities.iter().map(|f| f.ln()).collect();
+        assert_eq!(parsed.log_fidelities, lns);
     }
 
     #[test]

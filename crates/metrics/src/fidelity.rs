@@ -18,6 +18,10 @@
 //!
 //! Only *active* components contribute: errors on idle, uninvolved
 //! elements do not corrupt the program (§V-C).
+//!
+//! Next to `F` the model sums `ln F = Σ ln(1 − ε)` over the same three
+//! factors, which stays finite where the linear product underflows to
+//! 0 (a deep circuit on a large device).
 
 use serde::{Deserialize, Serialize};
 
@@ -69,7 +73,7 @@ impl Default for FidelityParams {
 }
 
 /// Fidelity decomposition of one evaluated program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FidelityBreakdown {
     /// Product of (1 − gate/decoherence errors) — the `ε_q` term.
     pub qubit_factor: f64,
@@ -79,8 +83,39 @@ pub struct FidelityBreakdown {
     pub resonator_crosstalk_factor: f64,
     /// Overall fidelity `F` (the product of the three factors).
     pub total: f64,
+    /// `ln F`: the sum of `ln(1 − ε)` over every error of the three
+    /// factors (`ln_1p(−ε)`, or `−t/T1 − t/T2` for decoherence). Finite
+    /// even where `total` underflows to 0.
+    pub log_fidelity: f64,
     /// Number of crosstalk-contributing violations.
     pub active_violations: usize,
+}
+
+// Hand-written so that breakdowns serialized before `log_fidelity`
+// existed keep deserializing, with `ln(total)` in its place; the
+// vendored serde derive has no `#[serde(default)]`.
+impl Deserialize for FidelityBreakdown {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = value
+            .as_map()
+            .ok_or_else(|| serde::Error::expected("map", "FidelityBreakdown"))?;
+        let field = |key: &str| serde::Value::field(map, key);
+        let total: f64 = Deserialize::from_value(field("total")?)?;
+        let log_fidelity = match map.iter().find(|(k, _)| k.as_str() == "log_fidelity") {
+            Some((_, v)) => Deserialize::from_value(v)?,
+            None => total.ln(),
+        };
+        Ok(Self {
+            qubit_factor: Deserialize::from_value(field("qubit_factor")?)?,
+            qubit_crosstalk_factor: Deserialize::from_value(field("qubit_crosstalk_factor")?)?,
+            resonator_crosstalk_factor: Deserialize::from_value(field(
+                "resonator_crosstalk_factor",
+            )?)?,
+            total,
+            log_fidelity,
+            active_violations: Deserialize::from_value(field("active_violations")?)?,
+        })
+    }
 }
 
 /// The Eq. 15 evaluator.
@@ -104,10 +139,18 @@ impl FidelityModel {
 
     /// Evaluates the fidelity of `routed` (with its ASAP `schedule`)
     /// executing on the placed `netlist`.
+    ///
+    /// `hotspots` holds the layout's spatial violations: the
+    /// [`HotspotReport::scan`] of `netlist` at its current positions
+    /// with `self.params().hotspot`. They depend on the layout alone,
+    /// not on the mapped subset, so one scan serves every program
+    /// evaluated on the same layout ([`crate::evaluate_benchmark`]
+    /// makes it once per call).
     #[must_use]
     pub fn evaluate(
         &self,
         netlist: &QuantumNetlist,
+        hotspots: &HotspotReport,
         routed: &RoutedCircuit,
         schedule: &Schedule,
     ) -> FidelityBreakdown {
@@ -115,6 +158,7 @@ impl FidelityModel {
         let t1 = Duration::from_ns(p.t1_ns);
         let t2 = Duration::from_ns(p.t2_ns);
         let makespan = schedule.total_duration();
+        let mut log_fidelity = 0.0;
 
         // ---- ε_q: gate + decoherence errors over active qubits. ----
         let mut qubit_factor = 1.0;
@@ -125,20 +169,24 @@ impl FidelityModel {
                 p.single_qubit_error
             };
             qubit_factor *= 1.0 - e;
+            log_fidelity += (-e).ln_1p();
         }
-        for &q in &routed.active_qubits {
-            // Decoherence acts for the full makespan (busy + idle).
-            let _ = q;
-            qubit_factor *= 1.0 - error::decoherence_error(makespan, t1, t2);
+        // Decoherence acts on every active qubit for the full makespan
+        // (busy + idle).
+        let decoherence = error::decoherence_error(makespan, t1, t2);
+        let decoherence_log = error::decoherence_log_survival(makespan, t1, t2);
+        for _ in &routed.active_qubits {
+            qubit_factor *= 1.0 - decoherence;
+            log_fidelity += decoherence_log;
         }
         if p.include_readout {
             for _ in &routed.active_qubits {
                 qubit_factor *= 1.0 - p.readout_error;
+                log_fidelity += (-p.readout_error).ln_1p();
             }
         }
 
         // ---- Spatial violations at the current layout. ----
-        let report = HotspotReport::scan(netlist, &p.hotspot);
         let active_qubits: std::collections::HashSet<usize> =
             routed.active_qubits.iter().copied().collect();
         let active_resonators: std::collections::HashSet<usize> =
@@ -154,7 +202,7 @@ impl FidelityModel {
         let mut qubit_crosstalk_factor = 1.0;
         let mut resonator_crosstalk_factor = 1.0;
         let mut active_violations = 0usize;
-        for &(i, j) in &report.violations {
+        for &(i, j) in &hotspots.violations {
             let a = netlist.instance(i);
             let b = netlist.instance(j);
             if !is_active(a.kind()) && !is_active(b.kind()) {
@@ -187,6 +235,7 @@ impl FidelityModel {
                     let eps_leak = error::averaged_rabi_error(g_leak, makespan);
                     let eps = error::combine_errors(&[eps_exchange, eps_leak]);
                     qubit_crosstalk_factor *= 1.0 - eps;
+                    log_fidelity += (-eps).ln_1p();
                 }
                 _ => {
                     // Resonator-involved violation: parasitic capacitance
@@ -208,6 +257,7 @@ impl FidelityModel {
                     let geff = coupling::effective_coupling(g, detuning);
                     let eps = error::averaged_rabi_error(geff, makespan);
                     resonator_crosstalk_factor *= 1.0 - eps;
+                    log_fidelity += (-eps).ln_1p();
                 }
             }
         }
@@ -218,6 +268,7 @@ impl FidelityModel {
             qubit_crosstalk_factor,
             resonator_crosstalk_factor,
             total,
+            log_fidelity,
             active_violations,
         }
     }
@@ -252,10 +303,21 @@ mod tests {
         (t, nl, routed, schedule)
     }
 
+    /// Default-model fidelity of `routed` on `nl`, over a fresh scan.
+    fn score(
+        nl: &QuantumNetlist,
+        routed: &RoutedCircuit,
+        schedule: &Schedule,
+    ) -> FidelityBreakdown {
+        let model = FidelityModel::default();
+        let hotspots = HotspotReport::scan(nl, &model.params().hotspot);
+        model.evaluate(nl, &hotspots, routed, schedule)
+    }
+
     #[test]
     fn clean_layout_fidelity_is_high() {
         let (_t, nl, routed, schedule) = setup();
-        let f = FidelityModel::default().evaluate(&nl, &routed, &schedule);
+        let f = score(&nl, &routed, &schedule);
         assert_eq!(f.active_violations, 0);
         assert_eq!(f.qubit_crosstalk_factor, 1.0);
         assert_eq!(f.resonator_crosstalk_factor, 1.0);
@@ -264,9 +326,32 @@ mod tests {
     }
 
     #[test]
+    fn log_fidelity_is_the_log_of_the_product() {
+        let (_t, nl, routed, schedule) = setup();
+        let f = score(&nl, &routed, &schedule);
+        assert!((f.total.ln() - f.log_fidelity).abs() < 1e-12, "{f:?}");
+    }
+
+    #[test]
+    fn breakdowns_without_log_fidelity_still_deserialize() {
+        let (_t, nl, routed, schedule) = setup();
+        let f = score(&nl, &routed, &schedule);
+        let json = serde_json::to_string(&f).unwrap();
+        assert_eq!(serde_json::from_str::<FidelityBreakdown>(&json).unwrap(), f);
+        let mut old = serde_json::from_str::<serde_json::Value>(&json).unwrap();
+        if let serde_json::Value::Map(fields) = &mut old {
+            fields.retain(|(k, _)| k != "log_fidelity");
+        }
+        let parsed: FidelityBreakdown =
+            serde_json::from_str(&serde_json::to_string(&old).unwrap()).unwrap();
+        assert_eq!(parsed.total, f.total);
+        assert_eq!(parsed.log_fidelity, f.total.ln());
+    }
+
+    #[test]
     fn colliding_active_qubits_destroy_fidelity() {
         let (_t, mut nl, routed, schedule) = setup();
-        let clean = FidelityModel::default().evaluate(&nl, &routed, &schedule);
+        let clean = score(&nl, &routed, &schedule);
         // Find two active qubits in the same frequency slot and collide
         // them; else collide any two actives (coupling still acts via the
         // resonant check — so pick the resonant pair if it exists).
@@ -290,7 +375,7 @@ mod tests {
             }
         }
         if collided {
-            let dirty = FidelityModel::default().evaluate(&nl, &routed, &schedule);
+            let dirty = score(&nl, &routed, &schedule);
             assert!(dirty.active_violations > 0);
             assert!(
                 dirty.total < clean.total * 0.9,
@@ -327,7 +412,7 @@ mod tests {
             }
         }
         if hit {
-            let f = FidelityModel::default().evaluate(&nl, &routed, &schedule);
+            let f = score(&nl, &routed, &schedule);
             assert_eq!(f.active_violations, 0, "inactive collisions must not count");
             assert_eq!(f.qubit_crosstalk_factor, 1.0);
         }
@@ -347,13 +432,12 @@ mod tests {
             );
         }
         let subset: Vec<usize> = vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16];
-        let model = FidelityModel::default();
         let run = |c: &qplacer_circuits::Circuit| {
             let routed = Router::new(&t)
                 .route(c, &subset[..c.num_qubits()])
                 .unwrap_or_else(|_| Router::new(&t).route(c, &subset).unwrap());
             let s = Schedule::asap(&routed);
-            model.evaluate(&nl, &routed, &s).total
+            score(&nl, &routed, &s).total
         };
         let small = run(&generators::bv(4));
         let big = run(&generators::bv(16));

@@ -60,6 +60,7 @@ impl HotspotReport {
     /// Scans `netlist` at its current positions.
     #[must_use]
     pub fn scan(netlist: &QuantumNetlist, config: &HotspotConfig) -> Self {
+        let _span = qplacer_obs::span!("hotspot_scan", instances = netlist.num_instances());
         let margin = config.resonant_margin_mm;
         let dc = netlist.detuning_threshold() * 0.999;
 

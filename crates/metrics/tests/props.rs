@@ -91,12 +91,13 @@ proptest! {
             nl.set_position(i, Point::new((i % side) as f64 * 5.0, (i / side) as f64 * 5.0));
         }
         let model = FidelityModel::default();
+        let hotspots = HotspotReport::scan(&nl, &model.params().hotspot);
         let run = |steps: usize| {
             let routed = Router::new(&device)
                 .route(&generators::ising(4, steps), &[0, 1, 4, 3])
                 .unwrap();
             let s = Schedule::asap(&routed);
-            model.evaluate(&nl, &routed, &s).total
+            model.evaluate(&nl, &hotspots, &routed, &s).total
         };
         let f1 = run(1);
         let f3 = run(3);

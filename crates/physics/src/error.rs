@@ -82,6 +82,27 @@ pub fn decoherence_error(t: Duration, t1: Duration, t2: Duration) -> f64 {
     1.0 - (-(t.ns() / t1.ns())).exp() * (-(t.ns() / t2.ns())).exp()
 }
 
+/// `ln(1 − ε)` of [`decoherence_error`] in closed form, `−t/T1 − t/T2`:
+/// exact even where `ε` itself rounds to 1.
+///
+/// # Examples
+///
+/// ```
+/// use qplacer_physics::{error::decoherence_log_survival, Duration};
+/// let t1 = Duration::from_us(100.0);
+/// let ln = decoherence_log_survival(Duration::from_us(10_000.0), t1, t1);
+/// assert_eq!(ln, -200.0);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `t1` or `t2` is not positive.
+#[must_use]
+pub fn decoherence_log_survival(t: Duration, t1: Duration, t2: Duration) -> f64 {
+    assert!(t1.ns() > 0.0 && t2.ns() > 0.0, "T1/T2 must be positive");
+    -(t.ns() / t1.ns()) - t.ns() / t2.ns()
+}
+
 /// Combines independent error probabilities: `1 − Π(1 − εᵢ)`.
 ///
 /// # Examples
