@@ -8,7 +8,7 @@
 //!
 //! Builds one declarative [`ExperimentPlan`] over
 //! {Grid-4x4, Falcon, Aspen-11} × {Qplacer, Classic, Human} × BV-4,
-//! fans it across the thread pool, streams JSONL to
+//! fans it across worker threads, streams JSONL to
 //! `batch_sweep.jsonl`, and prints the per-arm summary table.
 
 use qplacer_harness::{

@@ -8,10 +8,9 @@
 //! - [`ExperimentPlan`] / [`JobSpec`] — a declarative, serde
 //!   round-trippable description of the grid ([`ExperimentPlan::grid`],
 //!   [`ExperimentPlan::placement_grid`]).
-//! - [`Runner`] — fans jobs across a rayon thread pool with
-//!   deterministic per-job seeding and per-job panic isolation; the
-//!   per-subset loop in [`qplacer_metrics::evaluate_benchmark`] shares
-//!   the same pool (depth-1 nesting, no oversubscription).
+//! - [`Runner`] — fans jobs across scoped worker threads, one job per
+//!   thread at a time, with deterministic per-job seeding and per-job
+//!   panic isolation.
 //! - [`Sink`]s — pluggable record consumers ([`MemorySink`],
 //!   [`JsonlSink`], [`CsvSink`]) with a stable [`JobRecord`] schema,
 //!   always fed in plan order.

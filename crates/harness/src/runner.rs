@@ -1,11 +1,11 @@
-//! The parallel experiment runner: fans [`JobSpec`]s across a thread
-//! pool with deterministic per-job seeding and panic isolation.
+//! The parallel experiment runner: fans [`JobSpec`]s across scoped
+//! worker threads with deterministic per-job seeding and panic isolation.
 
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use qplacer_obs::{JsonlTraceSink, NullTraceSink, RingTraceSink, TraceSink};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::pipeline::Qplacer;
@@ -45,7 +45,7 @@ impl JobStatus {
 /// `wall_*` fields, which carry wall-clock timings. Consumers comparing
 /// records across runs should ignore the `wall_` prefix (the harness
 /// determinism tests do exactly that).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobRecord {
     /// Plan name.
     pub plan: String,
@@ -91,6 +91,11 @@ pub struct JobRecord {
     pub mean_fidelity: f64,
     /// Worst fidelity over evaluated subsets.
     pub min_fidelity: f64,
+    /// `log10` of the worst fidelity, from
+    /// [`BenchmarkEvaluation::log_fidelities`](qplacer_metrics::BenchmarkEvaluation::log_fidelities):
+    /// finite where `min_fidelity` underflows to 0. Zero when no subset
+    /// was evaluated.
+    pub min_log10_fidelity: f64,
     /// Mean crosstalk-contributing violations per subset.
     pub mean_active_violations: f64,
     /// Total job wall time (ms). Non-deterministic.
@@ -132,6 +137,7 @@ impl JobRecord {
             subsets_skipped_unroutable: 0,
             mean_fidelity: 0.0,
             min_fidelity: 0.0,
+            min_log10_fidelity: 0.0,
             mean_active_violations: 0.0,
             wall_ms: 0.0,
             wall_place_ms: 0.0,
@@ -148,7 +154,7 @@ impl JobRecord {
          instances,place_iterations,hpwl_mm,mer_area_mm2,utilization,ph,\
          impacted_qubits,violations,subsets_requested,subsets_evaluated,\
          subsets_skipped_too_large,subsets_skipped_unroutable,mean_fidelity,\
-         min_fidelity,mean_active_violations,wall_ms,wall_place_ms,\
+         min_fidelity,min_log10_fidelity,mean_active_violations,wall_ms,wall_place_ms,\
          wall_place_iters_per_sec,wall_legalize_ms,wall_assign_ms"
     }
 
@@ -161,7 +167,7 @@ impl JobRecord {
             JobStatus::Panicked { message } => format!("panicked: {message}"),
         };
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             csv_escape(&self.plan),
             self.job_index,
             csv_escape(&self.device),
@@ -189,6 +195,7 @@ impl JobRecord {
             self.subsets_skipped_unroutable,
             self.mean_fidelity,
             self.min_fidelity,
+            self.min_log10_fidelity,
             self.mean_active_violations,
             self.wall_ms,
             self.wall_place_ms,
@@ -196,6 +203,59 @@ impl JobRecord {
             self.wall_legalize_ms,
             self.wall_assign_ms,
         )
+    }
+}
+
+// Hand-written so that records written before `min_log10_fidelity`
+// existed keep deserializing, with `log10(min_fidelity)` in its place
+// (0 when no subset was evaluated); the vendored serde derive has no
+// `#[serde(default)]`.
+impl Deserialize for JobRecord {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = value
+            .as_map()
+            .ok_or_else(|| serde::Error::expected("map", "JobRecord"))?;
+        let get = |key: &str| serde::Value::field(map, key);
+        let subsets_evaluated: usize = Deserialize::from_value(get("subsets_evaluated")?)?;
+        let min_fidelity: f64 = Deserialize::from_value(get("min_fidelity")?)?;
+        let min_log10_fidelity = match map.iter().find(|(k, _)| k == "min_log10_fidelity") {
+            Some((_, v)) => Deserialize::from_value(v)?,
+            None if subsets_evaluated == 0 => 0.0,
+            None => min_fidelity.log10(),
+        };
+        Ok(JobRecord {
+            plan: Deserialize::from_value(get("plan")?)?,
+            job_index: Deserialize::from_value(get("job_index")?)?,
+            device: Deserialize::from_value(get("device")?)?,
+            strategy: Deserialize::from_value(get("strategy")?)?,
+            benchmark: Deserialize::from_value(get("benchmark")?)?,
+            seed: Deserialize::from_value(get("seed")?)?,
+            segment_size_mm: Deserialize::from_value(get("segment_size_mm")?)?,
+            status: Deserialize::from_value(get("status")?)?,
+            instances: Deserialize::from_value(get("instances")?)?,
+            place_iterations: Deserialize::from_value(get("place_iterations")?)?,
+            hpwl_mm: Deserialize::from_value(get("hpwl_mm")?)?,
+            mer_area_mm2: Deserialize::from_value(get("mer_area_mm2")?)?,
+            utilization: Deserialize::from_value(get("utilization")?)?,
+            ph: Deserialize::from_value(get("ph")?)?,
+            impacted_qubits: Deserialize::from_value(get("impacted_qubits")?)?,
+            violations: Deserialize::from_value(get("violations")?)?,
+            subsets_requested: Deserialize::from_value(get("subsets_requested")?)?,
+            subsets_evaluated,
+            subsets_skipped_too_large: Deserialize::from_value(get("subsets_skipped_too_large")?)?,
+            subsets_skipped_unroutable: Deserialize::from_value(get(
+                "subsets_skipped_unroutable",
+            )?)?,
+            mean_fidelity: Deserialize::from_value(get("mean_fidelity")?)?,
+            min_fidelity,
+            min_log10_fidelity,
+            mean_active_violations: Deserialize::from_value(get("mean_active_violations")?)?,
+            wall_ms: Deserialize::from_value(get("wall_ms")?)?,
+            wall_place_ms: Deserialize::from_value(get("wall_place_ms")?)?,
+            wall_place_iters_per_sec: Deserialize::from_value(get("wall_place_iters_per_sec")?)?,
+            wall_legalize_ms: Deserialize::from_value(get("wall_legalize_ms")?)?,
+            wall_assign_ms: Deserialize::from_value(get("wall_assign_ms")?)?,
+        })
     }
 }
 
@@ -234,7 +294,12 @@ impl RunReport {
     }
 }
 
-/// Fans an [`ExperimentPlan`]'s jobs across a thread pool.
+/// Fans an [`ExperimentPlan`]'s jobs across worker threads.
+///
+/// Each run starts `threads − 1` scoped threads; the calling thread is
+/// the last worker, so a one-worker runner spawns nothing. Workers pull
+/// job indices from one shared counter, and each job runs start to
+/// finish on one thread.
 ///
 /// Guarantees:
 ///
@@ -244,29 +309,21 @@ impl RunReport {
 ///   records in plan order.
 /// - **Panic isolation** — a panicking job yields a
 ///   [`JobStatus::Panicked`] record; sibling jobs are unaffected.
-/// - **Depth-1 nesting** — per-subset parallelism inside
-///   [`qplacer_metrics::evaluate_benchmark`] shares the same pool, so
-///   job- and subset-level fan-out never oversubscribe the machine.
 #[derive(Debug)]
 pub struct Runner {
-    pool: rayon::ThreadPool,
     threads: usize,
 }
 
 impl Runner {
     /// A runner over `threads` workers (`0` = one per available core).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the OS refuses to start the pool's helper threads.
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("building thread pool");
-        let threads = pool.current_num_threads();
-        Runner { pool, threads }
+        let threads = if threads == 0 {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        } else {
+            threads
+        };
+        Runner { threads }
     }
 
     /// The worker count.
@@ -301,6 +358,10 @@ impl Runner {
     ///
     /// Propagates I/O errors from sinks and the trace file; a run with
     /// neither cannot fail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses to start a worker thread.
     pub fn execute(
         &self,
         plan: &ExperimentPlan,
@@ -327,29 +388,19 @@ impl Runner {
         let start = Instant::now();
         let mut rings: Option<Vec<RingTraceSink>> = None;
         let records: Vec<JobRecord> = if trace_path.is_some() {
-            let results: Vec<(JobRecord, RingTraceSink)> = self.pool.install(|| {
-                (0..plan.jobs.len())
-                    .into_par_iter()
-                    .map(|index| {
-                        let _scope = capture_events
-                            .then(|| qplacer_obs::adopt_trace_id(qplacer_obs::fresh_trace_id()));
-                        execute_job_ringed(plan, index)
-                    })
-                    .collect()
+            let results = self.map_jobs(plan.jobs.len(), |index| {
+                let _scope = capture_events
+                    .then(|| qplacer_obs::adopt_trace_id(qplacer_obs::fresh_trace_id()));
+                execute_job_ringed(plan, index)
             });
             let (records, ring_vec): (Vec<_>, Vec<_>) = results.into_iter().unzip();
             rings = Some(ring_vec);
             records
         } else {
-            self.pool.install(|| {
-                (0..plan.jobs.len())
-                    .into_par_iter()
-                    .map(|index| {
-                        let _scope = capture_events
-                            .then(|| qplacer_obs::adopt_trace_id(qplacer_obs::fresh_trace_id()));
-                        execute_job(plan, index)
-                    })
-                    .collect()
+            self.map_jobs(plan.jobs.len(), |index| {
+                let _scope = capture_events
+                    .then(|| qplacer_obs::adopt_trace_id(qplacer_obs::fresh_trace_id()));
+                execute_job(plan, index)
             })
         };
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -388,6 +439,40 @@ impl Runner {
             sink.finish()?;
         }
         Ok(RunOutcome { report, events })
+    }
+
+    /// Runs `job` on every index in `0..len` across the runner's workers
+    /// and returns the results in index order.
+    fn map_jobs<T: Send>(&self, len: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let workers = self.threads.min(len);
+        if workers <= 1 {
+            return (0..len).map(job).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= len {
+                    return done;
+                }
+                done.push((index, job(index)));
+            }
+        };
+        let mut done = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for helper in helpers {
+                done.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -474,7 +559,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// This is the single-job entry point long-lived callers (e.g. a serving
 /// worker holding a persistent
 /// [`PipelineWorkspace`](crate::PipelineWorkspace)) use to run plan
-/// jobs without going through [`Runner`]'s thread pool; [`Runner::run`]
+/// jobs without going through [`Runner`]'s workers; [`Runner::run`]
 /// funnels through it too, so both paths share one implementation.
 #[must_use]
 pub fn execute_job_with(
@@ -576,6 +661,14 @@ fn run_pipeline_job(
         record.subsets_skipped_unroutable = eval.skipped_unroutable;
         record.mean_fidelity = eval.mean_fidelity;
         record.min_fidelity = eval.min_fidelity;
+        let min_ln = eval
+            .log_fidelities
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        if min_ln.is_finite() {
+            record.min_log10_fidelity = min_ln / std::f64::consts::LN_10;
+        }
         record.mean_active_violations = eval.mean_active_violations;
     }
 
@@ -687,7 +780,7 @@ mod tests {
         assert!(record.status.is_ok());
         let layout = layout.expect("completed job returns its layout");
         assert_eq!(layout.netlist.num_instances(), record.instances);
-        // Same spec through the pooled runner yields the same
+        // Same spec through a two-worker runner yields the same
         // deterministic fields.
         let report = Runner::new(2).run(&plan);
         assert_eq!(report.records[0].hpwl_mm, record.hpwl_mm);
@@ -699,6 +792,71 @@ mod tests {
         let (record, layout) = execute_job_with(&bad, 0, &mut ws);
         assert!(layout.is_none());
         assert!(matches!(record.status, JobStatus::Failed { .. }));
+    }
+
+    #[test]
+    fn workers_return_results_in_index_order() {
+        let caller = std::thread::current().id();
+        for threads in [1, 3, 64] {
+            let runner = Runner::new(threads);
+            let out = runner.map_jobs(10, |i| (i * i, std::thread::current().id()));
+            let squares: Vec<usize> = out.iter().map(|&(sq, _)| sq).collect();
+            assert_eq!(squares, (0..10).map(|i| i * i).collect::<Vec<_>>());
+            if threads == 1 {
+                assert!(
+                    out.iter().all(|&(_, id)| id == caller),
+                    "one worker spawns nothing"
+                );
+            }
+        }
+        assert!(Runner::new(0).threads() >= 1);
+        assert!(Runner::new(4).map_jobs(0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn min_log10_fidelity_stays_finite_where_fidelity_underflows() {
+        // `qplacer evaluate eagle qv-32 --subsets 2 --strategy human`:
+        // the worst linear fidelity underflows to 0.
+        let plan = ExperimentPlan::grid(
+            "evaluate",
+            &[DeviceSpec::parse("eagle").unwrap()],
+            &[Strategy::Human],
+            &["qv-32"],
+            2,
+            &[0xF1D0],
+        );
+        let record = &Runner::new(1).run(&plan).records[0];
+        assert!(record.status.is_ok(), "{:?}", record.status);
+        assert_eq!(record.min_fidelity, 0.0);
+        assert!(
+            record.min_log10_fidelity.is_finite() && record.min_log10_fidelity < -290.0,
+            "{}",
+            record.min_log10_fidelity
+        );
+    }
+
+    #[test]
+    fn records_without_min_log10_fidelity_still_deserialize() {
+        // Serializes `record`, drops the field, and parses it back.
+        let without_field = |record: &JobRecord| -> JobRecord {
+            let mut old = record.to_value();
+            if let serde::Value::Map(fields) = &mut old {
+                fields.retain(|(k, _)| k != "min_log10_fidelity");
+            }
+            serde_json::from_str(&serde_json::to_string(&old).unwrap()).unwrap()
+        };
+        let report = Runner::new(1).run(&tiny_plan());
+        for record in &report.records {
+            let json = serde_json::to_string(record).unwrap();
+            assert_eq!(&serde_json::from_str::<JobRecord>(&json).unwrap(), record);
+            let parsed = without_field(record);
+            assert_eq!(parsed.min_log10_fidelity, record.min_fidelity.log10());
+            assert_eq!(parsed.mean_fidelity, record.mean_fidelity);
+        }
+        let mut blank = report.records[0].clone();
+        blank.subsets_evaluated = 0;
+        blank.min_fidelity = 0.0;
+        assert_eq!(without_field(&blank).min_log10_fidelity, 0.0);
     }
 
     #[test]

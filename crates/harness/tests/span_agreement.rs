@@ -27,23 +27,17 @@ fn assert_ms_eq(stage_ms: f64, span: SpanStat) {
 
 #[test]
 fn reported_timings_equal_their_span_totals() {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
     let mut sink = RingTraceSink::with_capacity(1 << 16);
     qplacer_obs::set_spans_enabled(true);
     qplacer_obs::reset_spans();
-    let layout = pool.install(|| {
-        Qplacer::fast().execute(
-            &Topology::falcon27(),
-            Strategy::FrequencyAware,
-            ExecOptions {
-                sink: Some(&mut sink),
-                ..Default::default()
-            },
-        )
-    });
+    let layout = Qplacer::fast().execute(
+        &Topology::falcon27(),
+        Strategy::FrequencyAware,
+        ExecOptions {
+            sink: Some(&mut sink),
+            ..Default::default()
+        },
+    );
     qplacer_obs::set_spans_enabled(false);
     let report = qplacer_obs::span_report();
     assert_eq!(sink.dropped(), 0, "ring sized for every record");

@@ -19,7 +19,7 @@
 use qplacer_geometry::{Point, Rect, SpatialGrid};
 use qplacer_netlist::QuantumNetlist;
 
-use crate::workspace::{first_accepted, IntegrationScratch};
+use crate::workspace::IntegrationScratch;
 use crate::OccupancyBitmap;
 
 /// Two same-resonator segments count as connected when their centers are
@@ -314,21 +314,19 @@ fn grow_cluster(
                     ));
                 }
             }
-            // At most 64 candidates: always below first_accepted's
-            // fan-out threshold, so this is a sequential early-exit scan.
-            let hit = first_accepted(cand, query, false, |c: &Point, q| {
+            let hit = cand.iter().position(|c| {
                 let rect = inst.padded_rect(*c);
                 if !bound.contains_rect(&rect) {
                     return false;
                 }
-                if strict && !relocation_is_clean(netlist, grid, s, *c, q) {
+                if strict && !relocation_is_clean(netlist, grid, s, *c, query) {
                     return false;
                 }
                 // (a) Free relocation, or (b) a τ-checked swap — never
                 // with a pinned victim (incremental contract).
                 bitmap.is_free_except(&rect, &old_rect)
-                    || occupant_at(netlist, grid, &rect, s, q).is_some_and(|n| {
-                        !pinned.is_some_and(|p| p[n]) && can_swap(netlist, grid, s, n, q)
+                    || occupant_at(netlist, grid, &rect, s, query).is_some_and(|n| {
+                        !pinned.is_some_and(|p| p[n]) && can_swap(netlist, grid, s, n, query)
                     })
             });
             if let Some(i) = hit {

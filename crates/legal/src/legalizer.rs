@@ -106,10 +106,8 @@ impl Legalizer {
     /// Like [`Legalizer::run`], but threads a persistent [`LegalWorkspace`]
     /// through all three phases: the occupancy bitmap, resonance grid, and
     /// every candidate/cluster/cost buffer are reused, so steady-state
-    /// legalizations of the same netlist shape allocate nothing. Candidate
-    /// scoring fans across the current rayon pool with deterministic
-    /// lowest-index selection, so reports and positions are identical at
-    /// any thread count.
+    /// legalizations of the same netlist shape allocate nothing. Every
+    /// phase runs on the calling thread.
     pub fn run_with(&self, netlist: &mut QuantumNetlist, ws: &mut LegalWorkspace) -> LegalReport {
         self.run_traced(netlist, ws, &mut NullTraceSink)
     }
@@ -185,9 +183,6 @@ impl Legalizer {
         let workspace = netlist.region().inflated(2.0 * netlist.max_padded_side());
         ws.bitmap.reset(workspace, self.resolution_mm);
         ws.tracker.reset(netlist, self.resonant_margin_mm);
-        // One pool-width probe per run: `current_num_threads` can cost a
-        // syscall, far too slow to ask per candidate.
-        ws.search.set_parallel_from_pool();
         let pitch = site_pitch_with(netlist, &mut ws.sizes);
         // Pinned instances become fixed obstacles before any phase runs.
         if let Some(mask) = pinned {
@@ -206,7 +201,7 @@ impl Legalizer {
                     &mut ws.bitmap,
                     &mut ws.tracker,
                     pitch,
-                    &mut ws.search,
+                    &mut ws.query,
                     &mut ws.qubits,
                     pinned,
                 );
@@ -217,7 +212,7 @@ impl Legalizer {
                     &mut ws.bitmap,
                     &mut ws.tracker,
                     pitch,
-                    &mut ws.search,
+                    &mut ws.query,
                     &mut ws.qubits,
                     None,
                 );
@@ -246,7 +241,7 @@ impl Legalizer {
             &mut ws.bitmap,
             &mut ws.tracker,
             pitch,
-            &mut ws.search,
+            &mut ws.query,
             &mut ws.tetris,
             pinned,
         );
@@ -269,7 +264,7 @@ impl Legalizer {
         );
         // Integration leaves its spatial index at the final positions;
         // count remaining overlaps from it instead of rebuilding one.
-        let remaining_overlaps = count_overlaps(netlist, &ws.integ.grid, &mut ws.search.query);
+        let remaining_overlaps = count_overlaps(netlist, &ws.integ.grid, &mut ws.query);
         sink.record(&TraceRecord::LegalPhase {
             phase: "overlap_check",
             elapsed_ns: span.finish().as_nanos() as u64,

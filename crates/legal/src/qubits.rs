@@ -1,15 +1,11 @@
 //! Phase 1: qubit legalization (greedy spiral + min-cost-flow refinement).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use rayon::prelude::*;
-
 use qplacer_geometry::Point;
 use qplacer_netlist::QuantumNetlist;
 
 use crate::mcmf::solve_assignment_into;
 use crate::resonance::ResonanceTracker;
-use crate::workspace::{spiral_find, QubitScratch, SearchScratch};
+use crate::workspace::{spiral_find, QubitScratch};
 use crate::OccupancyBitmap;
 
 /// Legalizes all qubits: finds non-overlapping, in-region positions near
@@ -32,15 +28,13 @@ pub fn legalize_qubits(
     tracker: &mut ResonanceTracker,
     site_pitch: f64,
 ) -> Vec<f64> {
-    let mut search = SearchScratch::default();
-    search.set_parallel_from_pool();
     let mut scratch = QubitScratch::default();
     legalize_qubits_with(
         netlist,
         bitmap,
         tracker,
         site_pitch,
-        &mut search,
+        &mut Vec::new(),
         &mut scratch,
         None,
     );
@@ -49,7 +43,7 @@ pub fn legalize_qubits(
 
 /// Workspace-threaded qubit legalization: identical semantics to
 /// [`legalize_qubits`], but every buffer (ordering, sites, MCMF network,
-/// spiral blocks) comes from the caller's scratch, so steady-state runs
+/// spatial queries) comes from the caller's scratch, so steady-state runs
 /// allocate nothing. Per-qubit displacements land in
 /// `scratch.displacement`.
 ///
@@ -57,10 +51,8 @@ pub fn legalize_qubits(
 /// and segment placements brick-pack without sub-site fragmentation. A
 /// *strict* spiral pass skips spots that violate the resonant margin
 /// against already-placed qubits (the legalization-side τ check); a
-/// relaxed pass and an exhaustive scan guarantee feasibility. Candidate
-/// scoring fans across the rayon pool; the chosen spot is always the
-/// ring-order-first acceptable one, so results are thread-count
-/// independent.
+/// relaxed pass and an exhaustive scan guarantee feasibility. The chosen
+/// spot is always the ring-order-first acceptable one.
 ///
 /// With a `pinned` instance mask (incremental path), pinned qubits are
 /// never moved — the caller must have pre-marked their footprints into
@@ -74,7 +66,7 @@ pub(crate) fn legalize_qubits_with(
     bitmap: &mut OccupancyBitmap,
     tracker: &mut ResonanceTracker,
     site_pitch: f64,
-    search: &mut SearchScratch,
+    query: &mut Vec<usize>,
     scratch: &mut QubitScratch,
     pinned: Option<&[bool]>,
 ) {
@@ -94,7 +86,6 @@ pub(crate) fn legalize_qubits_with(
     }
     let region = netlist.region();
     let workspace = bitmap.region();
-    let parallel = search.parallel;
 
     // Process left-to-right for a deterministic, low-conflict order.
     // Lexicographic total_cmp keeps the order total even when a position
@@ -134,11 +125,11 @@ pub(crate) fn legalize_qubits_with(
         // is not allowed to grow the substrate; only the relaxed pass may
         // use the feasibility spill ring.
         let site = spiral_find(
-            netlist, bitmap, tracker, search, id, desired, site_pitch, max_radius, true, &region,
+            netlist, bitmap, tracker, query, id, desired, site_pitch, max_radius, true, &region,
         )
         .or_else(|| {
             spiral_find(
-                netlist, bitmap, tracker, search, id, desired, site_pitch, max_radius, false,
+                netlist, bitmap, tracker, query, id, desired, site_pitch, max_radius, false,
                 &workspace,
             )
         })
@@ -166,12 +157,11 @@ pub(crate) fn legalize_qubits_with(
     // The permutation could undo the strict pass's isolation; accept it
     // only if it does not increase resonant-margin violations among
     // qubits.
-    let violations_of = |mapping: &(dyn Fn(usize) -> Point + Sync)| -> usize {
+    let violations_of = |mapping: &dyn Fn(usize) -> Point| -> usize {
         let dc = netlist.detuning_threshold() * 0.999;
         let margin = tracker.margin();
-        let row = |ra: usize| -> usize {
-            let qa = order[ra];
-            let mut count = 0;
+        let mut count = 0;
+        for (ra, &qa) in order.iter().enumerate() {
             for (rb, &qb) in order.iter().enumerate().skip(ra + 1) {
                 let ia = netlist.qubit_instance(qa);
                 let ib = netlist.qubit_instance(qb);
@@ -192,19 +182,8 @@ pub(crate) fn legalize_qubits_with(
                     count += 1;
                 }
             }
-            count
-        };
-        // Row counts are independent; the total is order-free, so the
-        // parallel path is bit-identical to the sequential one.
-        if !parallel {
-            (0..movable).map(row).sum()
-        } else {
-            let total = AtomicUsize::new(0);
-            (0..movable).into_par_iter().for_each(|ra| {
-                total.fetch_add(row(ra), Ordering::Relaxed);
-            });
-            total.into_inner()
         }
+        count
     };
     let greedy_viol = violations_of(&|rank| sites[rank]);
     let mcmf_viol = violations_of(&|rank| sites[assignment[rank]]);

@@ -17,7 +17,7 @@ use qplacer_geometry::Point;
 use qplacer_netlist::QuantumNetlist;
 
 use crate::resonance::ResonanceTracker;
-use crate::workspace::{first_accepted, spiral_find, SearchScratch, TetrisScratch};
+use crate::workspace::{spiral_find, TetrisScratch};
 use crate::OccupancyBitmap;
 
 /// Legalizes all resonator segments. Qubits must already be marked in
@@ -37,15 +37,13 @@ pub fn legalize_segments(
     tracker: &mut ResonanceTracker,
     site_pitch: f64,
 ) -> Vec<(usize, f64)> {
-    let mut search = SearchScratch::default();
-    search.set_parallel_from_pool();
     let mut scratch = TetrisScratch::default();
     legalize_segments_with(
         netlist,
         bitmap,
         tracker,
         site_pitch,
-        &mut search,
+        &mut Vec::new(),
         &mut scratch,
         None,
     );
@@ -55,10 +53,9 @@ pub fn legalize_segments(
 /// Workspace-threaded segment legalization: identical semantics to
 /// [`legalize_segments`], with all ordering/chain/candidate buffers drawn
 /// from the caller's scratch so steady-state runs allocate nothing.
-/// Candidate scoring (chain neighbors and spiral rings) fans across the
-/// rayon pool; selection is always the first acceptable candidate in
-/// deterministic order. Per-segment displacements land in
-/// `scratch.displacement`.
+/// Selection is always the first acceptable candidate in deterministic
+/// order (chain neighbors, then spiral rings). Per-segment displacements
+/// land in `scratch.displacement`.
 ///
 /// With a `pinned` instance mask (incremental path), pinned segments
 /// keep their positions — the caller must have pre-marked them into
@@ -71,7 +68,7 @@ pub(crate) fn legalize_segments_with(
     bitmap: &mut OccupancyBitmap,
     tracker: &mut ResonanceTracker,
     site_pitch: f64,
-    search: &mut SearchScratch,
+    query: &mut Vec<usize>,
     scratch: &mut TetrisScratch,
     pinned: Option<&[bool]>,
 ) {
@@ -154,24 +151,18 @@ pub(crate) fn legalize_segments_with(
                 // substrate first); only relaxed ones may spill.
                 let bound = if strict { &region } else { &workspace };
                 let accept_bound = bound.inflated(1e-9);
-                let hit = first_accepted(
-                    &chain_candidates[..num_chain],
-                    &mut search.query,
-                    search.parallel,
-                    |cand: &Point, q| {
-                        let rect = inst.padded_rect(*cand);
-                        accept_bound.contains_rect(&rect)
-                            && bitmap.is_free(&rect)
-                            && (!strict || tracker.is_clean_with(netlist, id, *cand, q))
-                    },
-                );
-                if let Some(i) = hit {
-                    placed = Some(chain_candidates[i]);
+                placed = chain_candidates[..num_chain].iter().copied().find(|cand| {
+                    let rect = inst.padded_rect(*cand);
+                    accept_bound.contains_rect(&rect)
+                        && bitmap.is_free(&rect)
+                        && (!strict || tracker.is_clean_with(netlist, id, *cand, query))
+                });
+                if placed.is_some() {
                     break;
                 }
                 // (b) Spiral around the segment's own desired position.
                 placed = spiral_find(
-                    netlist, bitmap, tracker, search, id, desired, site_pitch, max_radius, strict,
+                    netlist, bitmap, tracker, query, id, desired, site_pitch, max_radius, strict,
                     bound,
                 );
                 if placed.is_some() {

@@ -1,4 +1,4 @@
-//! Reusable legalization workspace + deterministic parallel scanning.
+//! Reusable legalization workspace and candidate search.
 //!
 //! Mirrors the global placer's `PlacerWorkspace` (PR 2): every buffer the
 //! three legalization phases need — the occupancy bitmap, the resonance
@@ -8,15 +8,8 @@
 //! performs **zero heap allocations**; a harness sweeping many jobs pays
 //! the buffer build-out once.
 //!
-//! Parallelism follows the same discipline as the placer: candidate
-//! *scoring* fans across the current rayon pool, candidate *selection*
-//! always takes the lowest-index acceptable candidate, so results are
-//! bit-identical at any thread count (asserted by the crate's
-//! thread-determinism test).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use rayon::prelude::*;
+//! Every search runs on the calling thread and takes the first
+//! acceptable candidate in its fixed probe order.
 
 use qplacer_geometry::{Point, Rect, SpatialGrid, SpiralIter};
 use qplacer_netlist::QuantumNetlist;
@@ -32,7 +25,8 @@ use crate::OccupancyBitmap;
 pub struct LegalWorkspace {
     pub(crate) bitmap: OccupancyBitmap,
     pub(crate) tracker: ResonanceTracker,
-    pub(crate) search: SearchScratch,
+    /// Spatial-grid query buffer of the phase-1 and phase-2 searches.
+    pub(crate) query: Vec<usize>,
     pub(crate) qubits: QubitScratch,
     pub(crate) tetris: TetrisScratch,
     pub(crate) integ: IntegrationScratch,
@@ -53,32 +47,12 @@ impl Default for LegalWorkspace {
         Self {
             bitmap: OccupancyBitmap::empty(),
             tracker: ResonanceTracker::empty(),
-            search: SearchScratch::default(),
+            query: Vec::new(),
             qubits: QubitScratch::default(),
             tetris: TetrisScratch::default(),
             integ: IntegrationScratch::default(),
             sizes: Vec::new(),
         }
-    }
-}
-
-/// Scratch shared by the candidate searches of phases 1 and 2.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SearchScratch {
-    /// Spatial-grid query buffer (sequential scoring path).
-    pub(crate) query: Vec<usize>,
-    /// Current block of spiral candidates under scoring.
-    pub(crate) block: Vec<Point>,
-    /// Whether candidate scoring should fan across the rayon pool.
-    /// Snapshotted once per run: the pool cannot change mid-run, and the
-    /// per-block scan then reads a plain field.
-    pub(crate) parallel: bool,
-}
-
-impl SearchScratch {
-    /// Snapshots the current rayon pool width into [`Self::parallel`].
-    pub(crate) fn set_parallel_from_pool(&mut self) {
-        self.parallel = rayon::current_num_threads() > 1;
     }
 }
 
@@ -146,69 +120,15 @@ impl Default for IntegrationScratch {
     }
 }
 
-/// Index of the first candidate (in slice order) accepted by `accept`,
-/// scored across the current rayon pool when it has more than one worker.
-///
-/// `accept` must be a pure read-only predicate of the candidate; the
-/// `&mut Vec<usize>` it receives is query scratch (the caller's buffer on
-/// the sequential path, a worker-local buffer on the parallel path).
-/// Selection is always the *lowest* accepted index, so the result is
-/// identical at any thread count.
-pub(crate) fn first_accepted<T, A>(
-    cands: &[T],
-    query: &mut Vec<usize>,
-    parallel: bool,
-    accept: A,
-) -> Option<usize>
-where
-    T: Sync,
-    A: Fn(&T, &mut Vec<usize>) -> bool + Sync,
-{
-    if cands.is_empty() {
-        return None;
-    }
-    // Small blocks (and single-worker pools) score sequentially with
-    // early exit — equivalent to the minimum accepted index, without the
-    // fan-out overhead. The threshold is deliberately high: each fan-out
-    // wakes parked pool threads, so it only pays for itself on the large
-    // crowded-region blocks.
-    if !parallel || cands.len() < 256 {
-        return cands.iter().position(|c| accept(c, query));
-    }
-    std::thread_local! {
-        /// Worker-local query buffer for the parallel scoring path. Pool
-        /// threads persist, so it grows to its peak once per thread and
-        /// is reused by every later scan.
-        static WORKER_QUERY: std::cell::RefCell<Vec<usize>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-    let best = AtomicUsize::new(usize::MAX);
-    (0..cands.len()).into_par_iter().for_each(|i| {
-        // Cheap monotone skip: a candidate above the current best cannot
-        // improve the minimum.
-        if i < best.load(Ordering::Relaxed) {
-            WORKER_QUERY.with(|q| {
-                if accept(&cands[i], &mut q.borrow_mut()) {
-                    best.fetch_min(i, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    let i = best.load(Ordering::Relaxed);
-    (i != usize::MAX).then_some(i)
-}
-
 /// Spiral candidate search around `desired` on the site lattice: yields
 /// the first (ring-ordered) spot whose footprint fits inside `bound`, is
 /// free in `bitmap`, and — when `strict` — passes the resonance τ check.
-/// Candidates are scored in growing blocks via [`first_accepted`], so the
-/// search parallelizes without changing its result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spiral_find(
     netlist: &QuantumNetlist,
     bitmap: &OccupancyBitmap,
     tracker: &ResonanceTracker,
-    search: &mut SearchScratch,
+    query: &mut Vec<usize>,
     id: usize,
     desired: Point,
     site_pitch: f64,
@@ -218,38 +138,23 @@ pub(crate) fn spiral_find(
 ) -> Option<Point> {
     let inst = *netlist.instance(id);
     let bound = bound.inflated(1e-9);
-    let search_parallel = search.parallel;
-    let SearchScratch { query, block, .. } = search;
-    let mut spiral = SpiralIter::new(max_radius);
-    // Start small (the common case hits within the first ring or two) and
-    // grow geometrically so crowded regions amortize the scan overhead.
-    let mut block_len = 64usize;
-    loop {
-        block.clear();
-        for (dx, dy) in spiral.by_ref().take(block_len) {
-            block.push(bitmap.snap_to_sites(
+    SpiralIter::new(max_radius)
+        .map(|(dx, dy)| {
+            bitmap.snap_to_sites(
                 Point::new(
                     desired.x + dx as f64 * site_pitch,
                     desired.y + dy as f64 * site_pitch,
                 ),
                 inst.padded_mm(),
                 site_pitch,
-            ));
-        }
-        if block.is_empty() {
-            return None;
-        }
-        let hit = first_accepted(block, query, search_parallel, |cand: &Point, q| {
+            )
+        })
+        .find(|cand| {
             let rect = inst.padded_rect(*cand);
             bound.contains_rect(&rect)
                 && bitmap.is_free(&rect)
-                && (!strict || tracker.is_clean_with(netlist, id, *cand, q))
-        });
-        if let Some(i) = hit {
-            return Some(block[i]);
-        }
-        block_len = (block_len * 4).min(16_384);
-    }
+                && (!strict || tracker.is_clean_with(netlist, id, *cand, query))
+        })
 }
 
 /// Counts instance pairs whose padded footprints overlap, using an

@@ -4,12 +4,10 @@
 //! `FrequencyAssigner::assign_into` on the same inputs must not touch
 //! the allocator.
 //!
-//! A counting global allocator wraps the system allocator; the runs
-//! execute under a 1-thread rayon pool (everything inline) and under a
-//! 2-thread pool, whose parked helper takes parts of the parallel
-//! candidate scans. Only armed threads count: the measuring thread
-//! while it measures, and the pool's helper from its start on. The test
-//! harness's own threads allocate at any moment and are never armed.
+//! A counting global allocator wraps the system allocator. Every phase
+//! runs on the calling thread, so only that thread is armed, and only
+//! while it measures: the test harness's own threads allocate at any
+//! moment and are never armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -62,23 +60,13 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Allocations the armed threads make while `f` runs, armed, on this
-/// one.
+/// Allocations this thread makes while `f` runs on it.
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     ARMED.with(|a| a.set(true));
     let result = f();
     ARMED.with(|a| a.set(false));
     (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
-}
-
-/// A pool of `threads` whose helpers are armed for their whole life.
-fn armed_pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .start_handler(|_| ARMED.with(|a| a.set(true)))
-        .build()
-        .expect("pool builds")
 }
 
 use qplacer_freq::{FreqWorkspace, FrequencyAssigner};
@@ -99,27 +87,22 @@ fn steady_state_legalization_does_not_allocate() {
     let legalizer = Legalizer::default();
     let mut ws = LegalWorkspace::new();
 
-    for threads in [1, 2] {
-        let pool = armed_pool(threads);
-        pool.install(|| {
-            // Warm-up: size every workspace buffer.
-            nl.set_positions(&placed);
-            let warm = legalizer.run_with(&mut nl, &mut ws);
-            assert_eq!(warm.remaining_overlaps, 0);
-            // The steady-state claim covers the successful-integration
-            // path; a resonator left fragmented would (rightly) allocate
-            // its entry in the report's unintegrated list.
-            assert_eq!(warm.integrated_after, warm.resonator_count);
+    // Warm-up: size every workspace buffer.
+    nl.set_positions(&placed);
+    let warm = legalizer.run_with(&mut nl, &mut ws);
+    assert_eq!(warm.remaining_overlaps, 0);
+    // The steady-state claim covers the successful-integration path; a
+    // resonator left fragmented would (rightly) allocate its entry in
+    // the report's unintegrated list.
+    assert_eq!(warm.integrated_after, warm.resonator_count);
 
-            nl.set_positions(&placed);
-            let (count, report) = allocations(|| legalizer.run_with(&mut nl, &mut ws));
-            assert_eq!(report.remaining_overlaps, 0);
-            assert_eq!(
-                count, 0,
-                "{threads} threads: steady-state Legalizer::run_with allocated {count} times"
-            );
-        });
-    }
+    nl.set_positions(&placed);
+    let (count, report) = allocations(|| legalizer.run_with(&mut nl, &mut ws));
+    assert_eq!(report.remaining_overlaps, 0);
+    assert_eq!(
+        count, 0,
+        "steady-state Legalizer::run_with allocated {count} times"
+    );
 }
 
 #[test]
@@ -130,15 +113,10 @@ fn steady_state_frequency_assignment_does_not_allocate() {
     let mut ws = FreqWorkspace::default();
     let mut out = assigner.assign_with(&t, &mut ws); // warm-up sizes everything
 
-    for threads in [1, 2] {
-        let pool = armed_pool(threads);
-        pool.install(|| {
-            let (count, ()) = allocations(|| assigner.assign_into(&t, &mut ws, &mut out));
-            assert_eq!(
-                count, 0,
-                "{threads} threads: steady-state FrequencyAssigner::assign_into allocated {count} times"
-            );
-        });
-    }
+    let (count, ()) = allocations(|| assigner.assign_into(&t, &mut ws, &mut out));
+    assert_eq!(
+        count, 0,
+        "steady-state FrequencyAssigner::assign_into allocated {count} times"
+    );
     assert_eq!(out, assigner.assign(&t));
 }

@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use qplacer_circuits::{optimize_peephole, Circuit, Router, Schedule};
@@ -87,11 +86,8 @@ impl Deserialize for BenchmarkEvaluation {
 ///
 /// The layout's spatial violations depend on the layout alone, so
 /// [`HotspotReport::scan`] runs once per call and every subset reads
-/// that one report. The per-subset work (routing, peephole, scheduling,
-/// the fidelity model) fans out across the current rayon thread pool.
-/// Results are independent of the thread count: subsets are drawn
-/// serially from `seed` up front, and per-subset outcomes are folded
-/// back in draw order.
+/// that one report. Subsets are drawn from `seed` and evaluated in draw
+/// order on the calling thread.
 ///
 /// # Examples
 ///
@@ -127,52 +123,37 @@ pub fn evaluate_benchmark(
     params: &FidelityParams,
 ) -> BenchmarkEvaluation {
     let _span = qplacer_obs::span!("evaluate", subsets = num_subsets);
-    // Draw every subset serially up front so the stream of RNG values —
-    // and therefore the evaluated mappings — is identical for every
-    // thread count (and to the historical serial implementation).
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut subsets = Vec::with_capacity(num_subsets);
-    let mut skipped_too_large = 0usize;
-    for _ in 0..num_subsets {
-        match random_connected_subset(device, circuit.num_qubits(), &mut rng) {
-            Some(subset) => subsets.push(subset),
-            None => skipped_too_large += 1,
-        }
-    }
-
     let router = Router::new(device);
     let model = FidelityModel::new(*params);
     let hotspots = HotspotReport::scan(netlist, &params.hotspot);
 
     // Per subset: routing, peephole, scheduling, and the fidelity model
-    // over the one hotspot report scanned above. Fan them out across
-    // the current thread pool; `collect` preserves draw order, keeping
-    // results deterministic.
-    let outcomes: Vec<Option<(f64, f64, f64)>> = subsets
-        .par_iter()
-        .map(|subset| {
-            let Ok(mut routed) = router.route(circuit, subset) else {
-                return None;
-            };
-            // L3 substitute: peephole over the physical gate list.
-            let mut as_circuit = Circuit::new(device.num_qubits());
-            as_circuit.extend(routed.gates.iter().copied());
-            optimize_peephole(&mut as_circuit);
-            routed.gates = as_circuit.gates().to_vec();
-            let schedule = Schedule::asap(&routed);
-            let f = model.evaluate(netlist, &hotspots, &routed, &schedule);
-            Some((f.total, f.log_fidelity, f.active_violations as f64))
-        })
-        .collect();
-
-    let skipped_unroutable = outcomes.iter().filter(|o| o.is_none()).count();
-    let mut fidelities = Vec::with_capacity(outcomes.len());
-    let mut log_fidelities = Vec::with_capacity(outcomes.len());
-    let mut violations = Vec::with_capacity(outcomes.len());
-    for (f, log_f, v) in outcomes.into_iter().flatten() {
-        fidelities.push(f);
-        log_fidelities.push(log_f);
-        violations.push(v);
+    // over the one hotspot report scanned above.
+    let mut skipped_too_large = 0usize;
+    let mut skipped_unroutable = 0usize;
+    let mut fidelities = Vec::with_capacity(num_subsets);
+    let mut log_fidelities = Vec::with_capacity(num_subsets);
+    let mut violations = Vec::with_capacity(num_subsets);
+    for _ in 0..num_subsets {
+        let Some(subset) = random_connected_subset(device, circuit.num_qubits(), &mut rng) else {
+            skipped_too_large += 1;
+            continue;
+        };
+        let Ok(mut routed) = router.route(circuit, &subset) else {
+            skipped_unroutable += 1;
+            continue;
+        };
+        // L3 substitute: peephole over the physical gate list.
+        let mut as_circuit = Circuit::new(device.num_qubits());
+        as_circuit.extend(routed.gates.iter().copied());
+        optimize_peephole(&mut as_circuit);
+        routed.gates = as_circuit.gates().to_vec();
+        let schedule = Schedule::asap(&routed);
+        let f = model.evaluate(netlist, &hotspots, &routed, &schedule);
+        fidelities.push(f.total);
+        log_fidelities.push(f.log_fidelity);
+        violations.push(f.active_violations as f64);
     }
 
     let mean = if fidelities.is_empty() {
@@ -228,24 +209,6 @@ mod tests {
         let a = evaluate_benchmark(&nl, &device, &generators::bv(4), 4, 7, &p);
         let b = evaluate_benchmark(&nl, &device, &generators::bv(4), 4, 7, &p);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn evaluation_is_independent_of_thread_count() {
-        let device = Topology::falcon27();
-        let nl = spread_netlist(&device);
-        let p = FidelityParams::paper();
-        let serial = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| evaluate_benchmark(&nl, &device, &generators::bv(4), 6, 13, &p));
-        let parallel = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| evaluate_benchmark(&nl, &device, &generators::bv(4), 6, 13, &p));
-        assert_eq!(serial, parallel);
     }
 
     #[test]

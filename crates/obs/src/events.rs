@@ -254,7 +254,8 @@ impl ThreadBuffer {
     }
 }
 
-/// Every thread buffer ever created, so snapshots and flight dumps see
+/// Every live thread's buffer, plus those of exited threads until the
+/// next [`clear_events`], so snapshots and flight dumps still see
 /// threads that have since exited. Buffers are only created while
 /// recording is enabled, so a process that never records never touches
 /// this.
@@ -386,13 +387,19 @@ pub fn event_snapshot() -> EventSnapshot {
 }
 
 /// Discards every recorded event and forgets per-thread rings (so a new
-/// [`flight_capacity`] takes effect). Meant for tests, benchmark setup,
-/// and the start of a capture run.
+/// [`flight_capacity`] takes effect). The buffers of exited threads are
+/// freed. Meant for tests, benchmark setup, and the start of a capture
+/// run.
 pub fn clear_events() {
-    let buffers: Vec<Arc<Mutex<ThreadBuffer>>> = BUFFERS
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clone();
+    let buffers: Vec<Arc<Mutex<ThreadBuffer>>> = {
+        let mut all = BUFFERS
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        // A live thread holds its own reference in `LOCAL`; a buffer
+        // only the registry holds belongs to a thread that has exited.
+        all.retain(|buffer| Arc::strong_count(buffer) > 1);
+        all.clone()
+    };
     let capacity = flight_capacity();
     for buffer in buffers {
         let mut buffer = buffer
@@ -462,6 +469,39 @@ mod tests {
             vec![2, 3, 4, 5],
             "oldest events were overwritten, survivors stay in order"
         );
+    }
+
+    #[test]
+    fn clear_frees_the_buffers_of_exited_threads() {
+        let live_tids = || -> Vec<u32> {
+            BUFFERS
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|b| b.lock().unwrap().tid)
+                .collect()
+        };
+        set_event_mode(EventMode::Capture);
+        for _ in 0..3 {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    std::thread::spawn(|| {
+                        record(0, EventKind::Begin, 0);
+                        LOCAL.with(|l| l.get().unwrap().lock().unwrap().tid)
+                    })
+                })
+                .collect();
+            let exited: Vec<u32> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            let before = live_tids();
+            assert!(
+                exited.iter().all(|t| before.contains(t)),
+                "kept until cleared"
+            );
+            clear_events();
+            let after = live_tids();
+            assert!(exited.iter().all(|t| !after.contains(t)), "{after:?}");
+        }
+        set_event_mode(EventMode::Off);
     }
 
     #[test]

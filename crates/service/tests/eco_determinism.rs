@@ -1,59 +1,30 @@
 //! The incremental (ECO) determinism contract: replaying an **empty**
 //! `TopologyDelta` through `Qplacer::execute_replace` must reproduce the cold
-//! run's derived `PlacementResult` **byte-for-byte**, at any rayon
-//! worker count. Nothing is unpinned, so warm placement and
-//! legalization are skipped entirely and the previous reports are
-//! carried forward — the serialized result has no thread-count- or
-//! timing-dependent freedom left. (Wall-time fields live in the reply
-//! envelope, not in `PlacementResult`, which is what the service cache
-//! stores and serves.)
+//! run's derived `PlacementResult` **byte-for-byte**. Nothing is
+//! unpinned, so warm placement and legalization are skipped entirely
+//! and the previous reports are carried forward — the serialized result
+//! has no timing-dependent freedom left. (Wall-time fields live in the
+//! reply envelope, not in `PlacementResult`, which is what the service
+//! cache stores and serves.)
 
 use qplacer_harness::{ExecOptions, Qplacer, Strategy};
 use qplacer_service::PlacementResult;
 use qplacer_topology::{Topology, TopologyDelta};
 
-/// Cold-places a grid, replays the identity delta, and returns the
-/// serialized `PlacementResult` of both runs, all under a pool
-/// with `threads` workers.
-fn cold_and_warm_bytes(threads: usize) -> (String, String) {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool builds");
-    pool.install(|| {
-        let base = Topology::grid(3, 3);
-        let engine = Qplacer::fast();
-        let cold = engine.execute(&base, Strategy::FrequencyAware, ExecOptions::default());
-        let delta = TopologyDelta::identity(&base);
-        let (warm, report) = engine
-            .execute_replace(&base, &cold, &delta, ExecOptions::default())
-            .expect("identity applies");
-        assert!(report.carried_reports, "empty delta must carry reports");
-        assert_eq!(report.moved_instances, 0);
-        let cold_bytes =
-            serde_json::to_string(&PlacementResult::from_layout("grid-3x3", &cold)).unwrap();
-        let warm_bytes =
-            serde_json::to_string(&PlacementResult::from_layout("grid-3x3", &warm)).unwrap();
-        (cold_bytes, warm_bytes)
-    })
-}
-
 #[test]
-fn empty_delta_result_is_byte_identical_to_cold_at_any_thread_count() {
-    let (cold_1, warm_1) = cold_and_warm_bytes(1);
+fn empty_delta_result_is_byte_identical_to_cold() {
+    let base = Topology::grid(3, 3);
+    let engine = Qplacer::fast();
+    let cold = engine.execute(&base, Strategy::FrequencyAware, ExecOptions::default());
+    let delta = TopologyDelta::identity(&base);
+    let (warm, report) = engine
+        .execute_replace(&base, &cold, &delta, ExecOptions::default())
+        .expect("identity applies");
+    assert!(report.carried_reports, "empty delta must carry reports");
+    assert_eq!(report.moved_instances, 0);
     assert_eq!(
-        cold_1, warm_1,
-        "1-thread: empty-delta replace diverged from its cold run"
-    );
-    let (cold_n, warm_n) = cold_and_warm_bytes(4);
-    assert_eq!(
-        cold_n, warm_n,
-        "4-thread: empty-delta replace diverged from its cold run"
-    );
-    // The cold runs themselves agree across pool widths, so all four
-    // serialized results are the same bytes.
-    assert_eq!(
-        cold_1, cold_n,
-        "cold PlacementResult bytes diverged between 1 and 4 threads"
+        serde_json::to_string(&PlacementResult::from_layout("grid-3x3", &cold)).unwrap(),
+        serde_json::to_string(&PlacementResult::from_layout("grid-3x3", &warm)).unwrap(),
+        "empty-delta replace diverged from its cold run"
     );
 }

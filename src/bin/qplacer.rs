@@ -5,7 +5,7 @@
 //! qplacer place    <topology> [--strategy qplacer|classic|human]
 //!                  [--segment <mm>] [--levels N] [--svg FILE] [--gds FILE]
 //! qplacer evaluate <topology> <benchmark> [--strategy ...] [--subsets N]
-//!                  [--seed N] [--threads N]
+//!                  [--seed N] [--segment <mm>]
 //! qplacer sweep    <topology>            # l_b ablation on one device
 //! qplacer e2e      [--devices a,b,..] [--strategy qplacer|classic]
 //!                  [--segment <mm>] [--levels N] [--fast] [--trace FILE]
@@ -44,7 +44,7 @@
 //! `heavy-hex-d10` and `heavy-hex-d16`.
 //!
 //! `suite` runs the full paper evaluation grid through the
-//! [`qplacer_harness`] runner: jobs fan out across a thread pool and the
+//! [`qplacer_harness`] runner: jobs fan out across worker threads and the
 //! per-job records stream (in deterministic plan order) to JSONL/CSV.
 //! `serve` starts the [`qplacer_service`] placement daemon; `submit`,
 //! `stats`, and `shutdown` talk to it over the JSON-lines protocol.
@@ -68,6 +68,8 @@
 //! always-on bounded flight recorder (`--flight N` events per thread,
 //! overwrite-oldest), and `dump-trace` fetches it from a running
 //! daemon as Chrome-trace JSON — the post-mortem view.
+//!
+//! Every subcommand rejects a flag it does not take, naming it.
 
 use std::process::ExitCode;
 
@@ -84,27 +86,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match command.as_str() {
-        "inventory" => cmd_inventory(),
-        "export" => cmd_export(&args[1..]),
-        "place" => cmd_place(&args[1..]),
-        "evaluate" => cmd_evaluate(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "e2e" => cmd_e2e(&args[1..]),
-        "replace" => cmd_replace(&args[1..]),
-        "profile" => cmd_profile(&args[1..]),
-        "suite" => cmd_suite(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "submit" => cmd_submit(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "dump-trace" => cmd_dump_trace(&args[1..]),
-        "shutdown" => cmd_shutdown(&args[1..]),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
+    let result = run(command, &args[1..]);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
@@ -114,13 +96,152 @@ fn main() -> ExitCode {
     }
 }
 
+/// Checks `command`'s flags, then runs it.
+fn run(command: &str, args: &[String]) -> Result<(), String> {
+    check_flags(command, args)?;
+    match command {
+        "inventory" => cmd_inventory(),
+        "export" => cmd_export(args),
+        "place" => cmd_place(args),
+        "evaluate" => cmd_evaluate(args),
+        "sweep" => cmd_sweep(args),
+        "e2e" => cmd_e2e(args),
+        "replace" => cmd_replace(args),
+        "profile" => cmd_profile(args),
+        "suite" => cmd_suite(args),
+        "serve" => cmd_serve(args),
+        "submit" => cmd_submit(args),
+        "stats" => cmd_stats(args),
+        "dump-trace" => cmd_dump_trace(args),
+        "shutdown" => cmd_shutdown(args),
+        "--help" | "-h" | "help" => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+    }
+}
+
+/// The flags each subcommand takes: `(command, flags that take a value,
+/// switches)`.
+const FLAGS: &[(&str, &[&str], &[&str])] = &[
+    ("inventory", &[], &[]),
+    ("export", &["--out"], &[]),
+    (
+        "place",
+        &["--strategy", "--segment", "--levels", "--svg", "--gds"],
+        &[],
+    ),
+    (
+        "evaluate",
+        &["--strategy", "--subsets", "--seed", "--segment"],
+        &[],
+    ),
+    ("sweep", &[], &[]),
+    (
+        "e2e",
+        &[
+            "--devices",
+            "--strategy",
+            "--segment",
+            "--levels",
+            "--trace",
+            "--chrome",
+        ],
+        &["--fast"],
+    ),
+    (
+        "replace",
+        &[
+            "--strategy",
+            "--drop-coupler",
+            "--drop-qubit",
+            "--yield",
+            "--seed",
+        ],
+        &["--fast"],
+    ),
+    (
+        "profile",
+        &["--strategy", "--levels", "--chrome", "--folded"],
+        &["--fast"],
+    ),
+    (
+        "suite",
+        &[
+            "--devices",
+            "--strategies",
+            "--benchmarks",
+            "--subsets",
+            "--seeds",
+            "--threads",
+            "--levels",
+            "--jsonl",
+            "--csv",
+        ],
+        &["--fast"],
+    ),
+    (
+        "serve",
+        &[
+            "--addr",
+            "--workers",
+            "--queue",
+            "--cache",
+            "--batch",
+            "--flight",
+            "--store",
+            "--tenant-quota",
+            "--shard-id",
+            "--shards",
+        ],
+        &[],
+    ),
+    (
+        "submit",
+        &[
+            "--strategy",
+            "--addr",
+            "--segment",
+            "--count",
+            "--deadline",
+            "--priority",
+            "--tenant",
+        ],
+        &["--fast"],
+    ),
+    ("stats", &["--addr", "--format"], &[]),
+    ("dump-trace", &["--addr", "--out"], &[]),
+    ("shutdown", &["--addr"], &[]),
+];
+
+/// Rejects the first argument of `command` that looks like a flag
+/// (starts with `-`) but is none of the command's flags. The argument
+/// after a value-taking flag is its value, never a flag.
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let Some(&(_, values, switches)) = FLAGS.iter().find(|(name, ..)| *name == command) else {
+        return Ok(());
+    };
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if values.contains(&arg) {
+            rest.next();
+        } else if arg.starts_with('-') && !switches.contains(&arg) {
+            return Err(format!(
+                "`{command}` has no flag `{arg}` (see `qplacer --help`)"
+            ));
+        }
+    }
+    Ok(())
+}
+
 const USAGE: &str = "usage:
   qplacer inventory
   qplacer export   <topology> [--out FILE]     # write the JSON device file
   qplacer place    <topology> [--strategy qplacer|classic|human]
                    [--segment <mm>] [--levels N] [--svg FILE] [--gds FILE]
   qplacer evaluate <topology> <benchmark> [--strategy S] [--subsets N]
-                   [--seed N] [--threads N]
+                   [--seed N] [--segment <mm>]
   qplacer sweep    <topology>
   qplacer e2e      [--devices a,b,..] [--strategy qplacer|classic]
                    [--segment <mm>] [--levels N] [--fast] [--trace FILE]
@@ -330,10 +451,8 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let strategy = parse_strategy(flag_value(args, "--strategy").unwrap_or("qplacer"))?;
     let subsets: usize = numeric_flag(args, "--subsets", 50)?;
     let seed: u64 = numeric_flag(args, "--seed", 0xF1D0)?;
-    let threads: usize = numeric_flag(args, "--threads", 0)?;
 
-    // A single-job plan through the harness: the per-subset evaluation
-    // fans out across the runner's thread pool.
+    // A single-job plan through the harness, on the calling thread.
     let mut plan = ExperimentPlan::grid(
         "evaluate",
         &[device_spec],
@@ -343,7 +462,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
         &[seed],
     );
     plan.jobs[0].segment_size_mm = segment_flag(args)?;
-    let report = Runner::new(threads).run(&plan);
+    let report = Runner::new(1).run(&plan);
     let record = &report.records[0];
     if !record.status.is_ok() {
         return Err(format!("{:?}", record.status));
@@ -357,7 +476,10 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
         record.subsets_skipped_too_large + record.subsets_skipped_unroutable,
     );
     println!("  mean fidelity:  {:.4e}", record.mean_fidelity);
-    println!("  worst fidelity: {:.4e}", record.min_fidelity);
+    println!(
+        "  worst fidelity: {:.4e} (log10 {:.2})",
+        record.min_fidelity, record.min_log10_fidelity
+    );
     println!(
         "  mean active crosstalk violations: {:.1}",
         record.mean_active_violations
@@ -1073,6 +1195,100 @@ mod tests {
         // Flag at the end without a value.
         let dangling: Vec<String> = vec!["--svg".to_string()];
         assert_eq!(flag_value(&dangling, "--svg"), None);
+    }
+
+    #[test]
+    fn unknown_flags_are_named_errors() {
+        let to_args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for (command, args, bad) in [
+            (
+                "evaluate",
+                &["grid", "bv-4", "--subsets", "1", "--bogus", "3"][..],
+                "--bogus",
+            ),
+            ("evaluate", &["grid", "bv-4", "--subset", "5"], "--subset"),
+            ("evaluate", &["grid", "bv-4", "--threads", "4"], "--threads"),
+            ("inventory", &["--fast"], "--fast"),
+            ("export", &["falcon", "--svg", "f.svg"], "--svg"),
+            ("place", &["grid", "--fast"], "--fast"),
+            ("sweep", &["grid", "--levels", "2"], "--levels"),
+            ("e2e", &["--device", "grid"], "--device"),
+            ("replace", &["grid", "--drop-coupler", "0-1", "-v"], "-v"),
+            ("profile", &["grid", "--trace", "t.jsonl"], "--trace"),
+            ("suite", &["--devices", "grid", "--help"], "--help"),
+            ("serve", &["--fast"], "--fast"),
+            ("submit", &["grid", "--workers", "2"], "--workers"),
+            ("stats", &["--out", "x"], "--out"),
+            ("dump-trace", &["--format", "text"], "--format"),
+            ("shutdown", &["--count", "1"], "--count"),
+        ] {
+            let err = run(command, &to_args(args)).expect_err(command);
+            assert!(err.contains(&format!("`{bad}`")), "{command}: {err}");
+        }
+        // A value that looks like a flag belongs to the flag before it.
+        assert!(check_flags("evaluate", &to_args(&["grid", "bv-4", "--seed", "-1"])).is_ok());
+        // The command lines CI and the benchmark's daemon spawn use.
+        for (command, args) in [
+            (
+                "e2e",
+                &[
+                    "--devices",
+                    "grid",
+                    "--fast",
+                    "--levels",
+                    "4",
+                    "--trace",
+                    "t",
+                ][..],
+            ),
+            (
+                "profile",
+                &[
+                    "grid", "--fast", "--levels", "4", "--chrome", "c", "--folded", "f",
+                ],
+            ),
+            (
+                "suite",
+                &[
+                    "--devices",
+                    "grid",
+                    "--strategies",
+                    "qplacer,classic",
+                    "--benchmarks",
+                    "bv-4",
+                    "--subsets",
+                    "2",
+                    "--fast",
+                    "--levels",
+                    "4",
+                    "--jsonl",
+                    "s.jsonl",
+                    "--csv",
+                    "s.csv",
+                    "--threads",
+                    "2",
+                    "--seeds",
+                    "1",
+                ],
+            ),
+            (
+                "serve",
+                &["--addr", "127.0.0.1:0", "--workers", "2", "--store", "dir"],
+            ),
+            (
+                "submit",
+                &["falcon", "--fast", "--count", "2", "--addr", "a"],
+            ),
+            ("stats", &["--addr", "a", "--format", "prometheus"]),
+            ("dump-trace", &["--addr", "a", "--out", "flight.json"]),
+            ("replace", &["eagle", "--drop-coupler", "0-1", "--fast"]),
+            ("export", &["falcon", "--out", "device-ci.json"]),
+        ] {
+            assert!(
+                check_flags(command, &to_args(args)).is_ok(),
+                "{command} {args:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! [`Qplacer`] and re-exports the pieces a downstream user needs. The
 //! pipeline driver and the batch experiment machinery live in
 //! [`qplacer_harness`] (re-exported as [`harness`]): declarative
-//! [`ExperimentPlan`]s fan out across a thread pool via [`Runner`] and
+//! [`ExperimentPlan`]s fan out across worker threads via [`Runner`] and
 //! stream stable records into JSONL/CSV [`harness::Sink`]s. The serving
 //! layer lives in [`qplacer_service`] (re-exported as [`service`]): a
 //! multi-threaded TCP daemon (`qplacer serve`) with request batching, a
