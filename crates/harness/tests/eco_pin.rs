@@ -21,11 +21,11 @@ use qplacer_harness::{PlacedLayout, Qplacer, Strategy};
 use qplacer_topology::{Topology, TopologyDelta};
 
 /// Coupler 0–1 dropped.
-const COUPLER_DROP_HASH: u64 = 0x6be8_7579_815a_66df;
+const COUPLER_DROP_HASH: u64 = 0x9545_cd3a_cfd5_051e;
 /// Qubit 62 dropped.
-const QUBIT_DROP_HASH: u64 = 0xc6d2_f0fa_ecc5_c4ad;
+const QUBIT_DROP_HASH: u64 = 0xd91e_cc62_ba86_9db0;
 /// `yield_delta(97, 1)`.
-const YIELD_97_HASH: u64 = 0xabb3_1f7a_8123_6e23;
+const YIELD_97_HASH: u64 = 0x81c9_ab3e_dbdb_5d7c;
 
 /// FNV-1a over the final coordinates' bits, in id order, then the
 /// placement report's iteration count, final overflow, HPWL and

@@ -21,7 +21,7 @@ use qplacer_topology::Topology;
 /// QPlacer layout, qaoa-9 then bv-4.
 const QPLACER_HASH: u64 = 0x759d_3d6c_e770_7791;
 /// Classic layout, qaoa-9 then bv-4.
-const CLASSIC_HASH: u64 = 0x59f9_ae3f_d9f6_b9b1;
+const CLASSIC_HASH: u64 = 0xb06d_3b5b_53ca_4c72;
 
 const SUBSETS: usize = 10;
 const SEED: u64 = 0xF1D0;

@@ -26,7 +26,9 @@ pub enum TraceRecord {
     PlaceIteration {
         /// Zero-based iteration index (contiguous within a run).
         iteration: u32,
-        /// Density overflow at the most recent check.
+        /// This iteration's capacity overflow: the fraction of instance
+        /// area above bin capacity in the deposit its density gradient
+        /// made.
         overflow: f64,
         /// Wirelength-proxy energy this iteration.
         wirelength: f64,

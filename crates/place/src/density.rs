@@ -25,6 +25,10 @@ use qplacer_numeric::{is_fast_path, Array2, PoissonField, PoissonSolver, Spectra
 /// its map for a whole warm run (see [`DensityWorkspace::begin_run`]).
 const DEPOSIT_BANDS: usize = 8;
 
+/// Partial sums the capacity-overflow scan keeps, one per lane of a
+/// 16-wide sweep.
+const SCAN_LANES: usize = 16;
+
 /// Caller-owned scratch for the density kernels: the charge map, the
 /// per-band deposition accumulators, the Poisson field, the
 /// spectral-transform scratch, and one footprint's per-axis overlap
@@ -285,16 +289,20 @@ impl DensityModel {
         }
     }
 
-    /// Density overflow: the fraction of total instance area sitting above
-    /// the uniform target density (the engine's stop metric). Convenience
-    /// wrapper over [`DensityModel::overflow_with`].
+    /// Density overflow: the fraction of total instance area deposited
+    /// above bin capacity, `Σ_b max(ρ_b − A_bin, 0) / Σ A_i`, where `ρ_b`
+    /// is the area deposited in bin `b` and `A_bin` the area of one bin
+    /// (the engine's stop metric, as in ePlace and DREAMPlace). A legal
+    /// layout scores about 0; instances stacked on one spot score near 1.
+    /// Convenience wrapper over [`DensityModel::overflow_with`].
     #[must_use]
     pub fn overflow(&self, netlist: &QuantumNetlist, positions: &[Point]) -> f64 {
         let mut ws = self.workspace();
         self.overflow_with(netlist, positions, &mut ws)
     }
 
-    /// Allocation-free overflow: rasterizes into `ws` and scans the map.
+    /// Allocation-free [`DensityModel::overflow`]: rasterizes into `ws`
+    /// and scans the map.
     pub fn overflow_with(
         &self,
         netlist: &QuantumNetlist,
@@ -302,20 +310,33 @@ impl DensityModel {
         ws: &mut DensityWorkspace,
     ) -> f64 {
         self.rasterize_into(netlist, positions, ws);
-        let total: f64 = netlist.total_padded_area();
+        self.scan_overflow(netlist, ws)
+    }
+
+    /// The capacity overflow of the map already in `ws.rho`, as
+    /// [`DensityModel::overflow`] defines it. The placement loop scans
+    /// the map its gradient just deposited, so the check costs no
+    /// second deposit. Bin `i` adds to partial sum `i mod SCAN_LANES`
+    /// and the partial sums are added in lane order: a branch-free
+    /// sweep, whose cost does not depend on how many bins of a legal
+    /// layout land within rounding of capacity.
+    pub(crate) fn scan_overflow(&self, netlist: &QuantumNetlist, ws: &DensityWorkspace) -> f64 {
+        let total = netlist.total_padded_area();
         if total <= 0.0 {
             return 0.0;
         }
-        let bin_area = self.bin_w * self.bin_h;
-        let target = total / self.region.area(); // average fill
-        let mut over = 0.0;
-        for &v in ws.rho.data() {
-            let fill = v / bin_area;
-            if fill > target {
-                over += (fill - target) * bin_area;
+        let capacity = self.bin_w * self.bin_h;
+        let mut lanes = [0.0; SCAN_LANES];
+        let (blocks, tail) = ws.rho.data().as_chunks::<SCAN_LANES>();
+        for block in blocks {
+            for (lane, &v) in lanes.iter_mut().zip(block) {
+                *lane += (v - capacity).max(0.0);
             }
         }
-        over / total
+        for (lane, &v) in lanes.iter_mut().zip(tail) {
+            *lane += (v - capacity).max(0.0);
+        }
+        lanes.iter().fold(0.0, |over, &lane| over + lane) / total
     }
 
     /// Penalty energy and gradient (layout `[∂x…, ∂y…]`).
@@ -508,6 +529,42 @@ mod tests {
             low < clustered * 0.5,
             "spread {low} vs clustered {clustered}"
         );
+    }
+
+    #[test]
+    fn scan_of_the_gradient_deposit_matches_overflow_with() {
+        let nl = netlist();
+        let model = DensityModel::new(nl.region(), 30, 30);
+        let r = nl.region();
+        let positions: Vec<Point> = (0..nl.num_instances())
+            .map(|i| {
+                let t = i as f64 / nl.num_instances() as f64;
+                Point::new(r.min.x + t * r.width(), r.center().y + 0.3 * (i % 3) as f64)
+            })
+            .collect();
+        let expected = model.overflow(&nl, &positions);
+        assert!(expected > 0.0, "the probe layout overfills some bins");
+
+        // Cold, and warm with the first half pinned (cached bands feed
+        // the reduction from the second deposit on).
+        let half: Vec<bool> = (0..positions.len())
+            .map(|i| i < positions.len() / 2)
+            .collect();
+        for pinned in [None, Some(&half[..])] {
+            let mut ws = model.workspace();
+            ws.begin_run(pinned);
+            let mut grad = vec![0.0; 2 * positions.len()];
+            for _ in 0..2 {
+                let _ = model.grad_into_with(&nl, &positions, &mut grad, &mut ws, pinned);
+                let scanned = model.scan_overflow(&nl, &ws);
+                assert_eq!(
+                    scanned.to_bits(),
+                    expected.to_bits(),
+                    "pinned {}",
+                    pinned.is_some()
+                );
+            }
+        }
     }
 
     #[test]

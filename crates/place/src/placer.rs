@@ -13,8 +13,8 @@ use crate::{exact_hpwl, DensityModel, DensityWorkspace, FrequencyForce, Wireleng
 /// far over one iteration (past the iteration floor), the run stops.
 /// The threshold is deliberately coarse — an order of magnitude below
 /// the legalizer's site pitch, so any drift it ignores is erased by
-/// legalization anyway. Cold runs never stall-stop — only the overflow
-/// gate applies.
+/// legalization anyway. Warm runs stop on this test alone; cold runs
+/// stop on the overflow target alone.
 const WARM_STALL_FRACTION: f64 = 1e-3;
 
 /// Upper bound on the overflow-trace capacity reserved per run, so an
@@ -33,10 +33,9 @@ const TRACE_RESERVE_CAP: usize = 1 << 16;
 /// in the transform and gradient kernels.
 #[derive(Debug, Clone, Default)]
 pub struct PlacerWorkspace {
-    /// Positions of the latest gradient evaluation.
+    /// Positions of the latest gradient evaluation, then the final
+    /// layout.
     positions: Vec<Point>,
-    /// Positions of the latest overflow check, then the final layout.
-    checked: Vec<Point>,
     gwl: Vec<f64>,
     gd: Vec<f64>,
     gf: Vec<f64>,
@@ -61,7 +60,6 @@ impl PlacerWorkspace {
     fn ensure(&mut self, n: usize, density: &DensityModel) {
         if self.positions.len() != n {
             self.positions.resize(n, Point::ORIGIN);
-            self.checked.resize(n, Point::ORIGIN);
             self.half_sizes.resize(n, (0.0, 0.0));
             self.degree.resize(n, 0.0);
             self.areas.resize(n, 0.0);
@@ -95,7 +93,10 @@ pub struct PlacerConfig {
     pub max_iterations: usize,
     /// Iterations before the overflow stop is consulted.
     pub min_iterations: usize,
-    /// Stop once density overflow falls below this fraction.
+    /// A cold run stops once its capacity overflow
+    /// ([`DensityModel::overflow`]: the fraction of instance area
+    /// deposited above bin capacity) falls below this fraction. Warm
+    /// runs ([`ExecOptions::pinned`]) stop when positions stall instead.
     pub target_overflow: f64,
     /// Per-iteration growth of the density penalty λ.
     pub lambda_growth: f64,
@@ -158,7 +159,7 @@ impl PlacerConfig {
         Self {
             max_iterations: 700,
             min_iterations: 60,
-            target_overflow: 0.07,
+            target_overflow: 0.001,
             lambda_growth: 1.05,
             freq_weight: 1.0,
             freq_growth: 1.05,
@@ -187,7 +188,6 @@ impl PlacerConfig {
         Self {
             max_iterations: 200,
             min_iterations: 30,
-            target_overflow: 0.12,
             bins: Some(32),
             ..Self::paper()
         }
@@ -205,7 +205,8 @@ impl Default for PlacerConfig {
 pub struct PlacementReport {
     /// Iterations executed.
     pub iterations: usize,
-    /// Final density overflow.
+    /// Capacity overflow ([`DensityModel::overflow`]) of the final
+    /// positions, from one deposit after the loop.
     pub final_overflow: f64,
     /// Exact half-perimeter wirelength of the result (mm).
     pub hpwl: f64,
@@ -217,7 +218,10 @@ pub struct PlacementReport {
     /// Wall-clock seconds of the run: the `global_place` span, or the
     /// `multilevel_place` span for a V-cycle.
     pub elapsed_seconds: f64,
-    /// Overflow trace sampled every few iterations: `(iteration, overflow)`.
+    /// Capacity overflow sampled every 5 iterations and at the last:
+    /// `(iteration, overflow)`. Each value is that iteration's check,
+    /// taken on the deposit of the positions its gradient was evaluated
+    /// at.
     pub overflow_trace: Vec<(usize, f64)>,
 }
 
@@ -402,18 +406,16 @@ impl GlobalPlacer {
         let mut lambda_f = 0.0;
         let mut initialized = false;
         let mut iterations = 0;
-        // One entry per overflow check (every 5 iterations, plus the
-        // last), reserved up front so steady-state iterations allocate
-        // nothing.
+        // One trace entry every 5 iterations, plus the last, reserved up
+        // front so steady-state iterations allocate nothing.
         let mut trace = Vec::with_capacity(cfg.max_iterations.min(TRACE_RESERVE_CAP) / 5 + 2);
-        let mut checked_overflow = f64::NAN;
-        // Warm runs get a second stop: once positions stall between two
-        // overflow checks, further iterations cannot help. A cold run
-        // keeps the overflow gate alone (density spreading legitimately
-        // plateaus early while λ is still ramping), but a warm seed is
-        // already legal — the few unpinned instances either settle in a
-        // handful of iterations or never will, and waiting out the full
-        // cold budget would cost more than the cold run it replaces.
+        // Warm runs stop once positions stall between two iterations:
+        // further iterations cannot help. A warm seed is already legal,
+        // so its capacity overflow reads about 0 from the start and the
+        // overflow target would cut every warm run at its floor; the
+        // few unpinned instances either settle in a handful of
+        // iterations or never will. Cold runs stop on the overflow
+        // target alone.
         let stall_tolerance = (pinned.is_some()).then(|| WARM_STALL_FRACTION * region.width());
         let mut last_checked: Vec<f64> = Vec::new();
 
@@ -491,34 +493,36 @@ impl GlobalPlacer {
             lambda_f *= cfg.freq_growth;
             iterations = iter + 1;
 
-            let mut converged = false;
-            // The stall check is a cheap position compare, so warm runs
-            // make it every iteration; the overflow check stays on its
-            // 5-iteration cadence (it costs a full density deposit).
-            let mut stalled = false;
-            if let Some(tol) = stall_tolerance {
+            // The gradient deposited this iteration's reference point
+            // into `density_ws` and the solve only read the map, so the
+            // check is one scan of it.
+            let overflow = {
+                let _span = qplacer_obs::span!("overflow_check", iter = iter);
+                density.scan_overflow(netlist, density_ws)
+            };
+            // Warm runs compare positions on every iteration, floor or
+            // not, so the stall test has a previous iterate once it counts.
+            let stalled = stall_tolerance.map(|tol| {
                 let pos = solver.position();
-                stalled = !last_checked.is_empty()
+                let stalled = !last_checked.is_empty()
                     && pos
                         .iter()
                         .zip(&last_checked)
                         .all(|(now, then)| (now - then).abs() < tol);
                 last_checked.clear();
                 last_checked.extend_from_slice(pos);
+                stalled
+            });
+            let converged =
+                iter >= cfg.min_iterations && stalled.unwrap_or(overflow < cfg.target_overflow);
+            if iter % 5 == 0 || iter + 1 == cfg.max_iterations || converged {
+                trace.push((iter, overflow));
             }
-            if iter % 5 == 0 || iter + 1 == cfg.max_iterations {
-                let _span = qplacer_obs::span!("overflow_check", iter = iter);
-                PlacerWorkspace::unpack(&mut ws.checked, solver.position());
-                checked_overflow = density.overflow_with(netlist, &ws.checked, density_ws);
-                trace.push((iter, checked_overflow));
-                converged = iter >= cfg.min_iterations && checked_overflow < cfg.target_overflow;
-            }
-            converged = converged || (iter >= cfg.min_iterations && stalled);
             if tracing {
                 let max_force = ws.grad.iter().fold(0.0f64, |acc, &g| acc.max(g.abs()));
                 sink.record(&TraceRecord::PlaceIteration {
                     iteration: iter as u32,
-                    overflow: checked_overflow,
+                    overflow,
                     wirelength: ewl,
                     max_force,
                     deposit_ns,
@@ -540,10 +544,10 @@ impl GlobalPlacer {
             }
             _ => 0.0,
         };
-        PlacerWorkspace::unpack(&mut ws.checked, solver.position());
-        netlist.set_positions(&ws.checked);
-        let hpwl = exact_hpwl(netlist, &ws.checked);
-        let overflow = density.overflow_with(netlist, &ws.checked, density_ws);
+        PlacerWorkspace::unpack(&mut ws.positions, solver.position());
+        netlist.set_positions(&ws.positions);
+        let hpwl = exact_hpwl(netlist, &ws.positions);
+        let overflow = density.overflow_with(netlist, &ws.positions, density_ws);
         density_ws.end_run();
 
         PlacementReport {
@@ -642,6 +646,26 @@ mod tests {
             before,
             report.final_overflow
         );
+    }
+
+    #[test]
+    fn classic_stops_once_capacity_overflow_reaches_the_target() {
+        let t = Topology::grid(3, 3);
+        let mut nl = build(&t);
+        let cfg = PlacerConfig {
+            frequency_aware: false,
+            ..PlacerConfig::fast()
+        };
+        let report = GlobalPlacer::new(cfg).execute(&mut nl, Default::default());
+        assert!(
+            report.iterations < cfg.max_iterations,
+            "Classic ran its whole budget of {}",
+            report.iterations
+        );
+        // The stopping iteration's check is the last trace entry.
+        let &(last, overflow) = report.overflow_trace.last().unwrap();
+        assert_eq!(last + 1, report.iterations);
+        assert!(last >= cfg.min_iterations && overflow < cfg.target_overflow);
     }
 
     #[test]

@@ -121,16 +121,17 @@ impl Oracle {
         if total <= 0.0 {
             return 0.0;
         }
-        let bin_area = self.bin_w * self.bin_h;
-        let target = total / self.region.area();
-        let mut over = 0.0;
-        for &v in rho.data() {
-            let fill = v / bin_area;
-            if fill > target {
-                over += (fill - target) * bin_area;
+        // Area above capacity, one bin's area per bin: bin `i` in row
+        // order adds to partial sum `i mod 16`, as in the kernel, and the
+        // partial sums are added in order.
+        let capacity = self.bin_w * self.bin_h;
+        let mut lanes = [0.0; 16];
+        for iy in 0..self.ny {
+            for ix in 0..self.nx {
+                lanes[(iy * self.nx + ix) % 16] += (rho[(ix, iy)] - capacity).max(0.0);
             }
         }
-        over / total
+        lanes.iter().fold(0.0, |over, &lane| over + lane) / total
     }
 }
 

@@ -30,9 +30,9 @@ const COLD_FALCON_HASH: u64 = 0x0d81_3eda_65ca_6d9f;
 /// Warm re-place of qubit 0 and its resonators from the cold layout.
 const WARM_FALCON_HASH: u64 = 0xfd18_39f2_7120_9197;
 /// Report of the cold Falcon placement.
-const COLD_FALCON_REPORT_HASH: u64 = 0xea5b_80ee_8a4c_47ca;
+const COLD_FALCON_REPORT_HASH: u64 = 0xf1cb_d43a_db96_fbf1;
 /// Report of the warm Falcon re-place.
-const WARM_FALCON_REPORT_HASH: u64 = 0x5f7f_6f1f_3a83_bb4d;
+const WARM_FALCON_REPORT_HASH: u64 = 0xb984_618a_f6f3_0e97;
 /// Cold `PlacerConfig::fast()` Falcon placement on a 30² bin grid.
 const COLD_FALCON_BINS30_HASH: u64 = 0xa06f_fda5_d864_af54;
 /// Cold `PlacerConfig::fast()` Falcon placement on a 31² bin grid.

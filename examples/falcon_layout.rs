@@ -40,7 +40,7 @@ fn main() {
     let p = layout.placement.as_ref().unwrap();
     let l = layout.legalization.as_ref().unwrap();
     println!(
-        "\nplacement: {} iters, overflow {:.3}, HPWL {:.1} mm",
+        "\nplacement: {} iters, capacity overflow {:.4}, HPWL {:.1} mm",
         p.iterations, p.final_overflow, p.hpwl
     );
     println!(

@@ -22,7 +22,7 @@ fn main() {
     let placement = layout.placement.as_ref().expect("engine strategy");
     let legal = layout.legalization.as_ref().expect("engine strategy");
     println!(
-        "global placement: {} iterations, overflow {:.3}, HPWL {:.1} mm, {:.2} s",
+        "global placement: {} iterations, capacity overflow {:.4}, HPWL {:.1} mm, {:.2} s",
         placement.iterations, placement.final_overflow, placement.hpwl, placement.elapsed_seconds
     );
     println!(

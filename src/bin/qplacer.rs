@@ -122,24 +122,27 @@ fn run(command: &str, args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The flags each subcommand takes: `(command, flags that take a value,
-/// switches)`.
-const FLAGS: &[(&str, &[&str], &[&str])] = &[
-    ("inventory", &[], &[]),
-    ("export", &["--out"], &[]),
+/// The arguments each subcommand takes: `(command, positional
+/// arguments, flags that take a value, switches)`.
+const FLAGS: &[(&str, usize, &[&str], &[&str])] = &[
+    ("inventory", 0, &[], &[]),
+    ("export", 1, &["--out"], &[]),
     (
         "place",
+        1,
         &["--strategy", "--segment", "--levels", "--svg", "--gds"],
         &[],
     ),
     (
         "evaluate",
+        2,
         &["--strategy", "--subsets", "--seed", "--segment"],
         &[],
     ),
-    ("sweep", &[], &[]),
+    ("sweep", 1, &[], &[]),
     (
         "e2e",
+        0,
         &[
             "--devices",
             "--strategy",
@@ -152,6 +155,7 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
     ),
     (
         "replace",
+        1,
         &[
             "--strategy",
             "--drop-coupler",
@@ -163,11 +167,13 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
     ),
     (
         "profile",
+        1,
         &["--strategy", "--levels", "--chrome", "--folded"],
         &["--fast"],
     ),
     (
         "suite",
+        0,
         &[
             "--devices",
             "--strategies",
@@ -183,6 +189,7 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
     ),
     (
         "serve",
+        0,
         &[
             "--addr",
             "--workers",
@@ -199,6 +206,7 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
     ),
     (
         "submit",
+        1,
         &[
             "--strategy",
             "--addr",
@@ -210,26 +218,45 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
         ],
         &["--fast"],
     ),
-    ("stats", &["--addr", "--format"], &[]),
-    ("dump-trace", &["--addr", "--out"], &[]),
-    ("shutdown", &["--addr"], &[]),
+    ("stats", 0, &["--addr", "--format"], &[]),
+    ("dump-trace", 0, &["--addr", "--out"], &[]),
+    ("shutdown", 0, &["--addr"], &[]),
 ];
 
 /// Rejects the first argument of `command` that looks like a flag
-/// (starts with `-`) but is none of the command's flags. The argument
-/// after a value-taking flag is its value, never a flag.
+/// (starts with `-`) but is none of the command's flags, repeats a flag
+/// already given, or is a positional argument beyond those the command
+/// takes. The argument after a value-taking flag is its value, never a
+/// flag.
 fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
-    let Some(&(_, values, switches)) = FLAGS.iter().find(|(name, ..)| *name == command) else {
+    let Some(&(_, positionals, values, switches)) =
+        FLAGS.iter().find(|(name, ..)| *name == command)
+    else {
         return Ok(());
     };
+    let mut seen: Vec<&str> = Vec::new();
+    let mut positional = 0;
     let mut rest = args.iter().map(String::as_str);
     while let Some(arg) = rest.next() {
-        if values.contains(&arg) {
-            rest.next();
-        } else if arg.starts_with('-') && !switches.contains(&arg) {
+        if values.contains(&arg) || switches.contains(&arg) {
+            if seen.contains(&arg) {
+                return Err(format!("`{command}` flag `{arg}` given more than once"));
+            }
+            seen.push(arg);
+            if values.contains(&arg) {
+                rest.next();
+            }
+        } else if arg.starts_with('-') {
             return Err(format!(
                 "`{command}` has no flag `{arg}` (see `qplacer --help`)"
             ));
+        } else if positional == positionals {
+            return Err(format!(
+                "`{command}` takes {positionals} positional argument(s); \
+                 unexpected `{arg}` (see `qplacer --help`)"
+            ));
+        } else {
+            positional += 1;
         }
     }
     Ok(())
@@ -408,7 +435,7 @@ fn cmd_place(args: &[String]) -> Result<(), String> {
     println!("strategy:  {}", layout.strategy);
     if let Some(p) = &layout.placement {
         println!(
-            "placement: {} iterations, overflow {:.3}, HPWL {:.1} mm, {:.2} s",
+            "placement: {} iterations, capacity overflow {:.4}, HPWL {:.1} mm, {:.2} s",
             p.iterations, p.final_overflow, p.hpwl, p.elapsed_seconds
         );
     }
@@ -1221,6 +1248,23 @@ mod tests {
             ("stats", &["--out", "x"], "--out"),
             ("dump-trace", &["--format", "text"], "--format"),
             ("shutdown", &["--count", "1"], "--count"),
+            // Positional arguments beyond those a command takes.
+            ("inventory", &["extra-arg"], "extra-arg"),
+            ("place", &["grid", "falcon"], "falcon"),
+            (
+                "evaluate",
+                &["grid", "bv-4", "--subsets", "1", "qaoa-4"],
+                "qaoa-4",
+            ),
+            ("suite", &["grid"], "grid"),
+            ("shutdown", &["--addr", "a", "now"], "now"),
+            // Flags given twice, with a value or as a switch.
+            (
+                "evaluate",
+                &["grid", "bv-4", "--subsets", "1", "--subsets", "9"],
+                "--subsets",
+            ),
+            ("e2e", &["--fast", "--devices", "grid", "--fast"], "--fast"),
         ] {
             let err = run(command, &to_args(args)).expect_err(command);
             assert!(err.contains(&format!("`{bad}`")), "{command}: {err}");
