@@ -10,9 +10,8 @@ use qplacer_metrics::{evaluate_benchmark, FidelityParams};
 use qplacer_netlist::{NetlistConfig, QuantumNetlist};
 use qplacer_topology::Topology;
 
-/// Calls of the span site `name` since the last reset. Reads `count`,
-/// not the text tree, whose first-seen parent is unreliable for sites
-/// with more than one parent.
+/// Calls of the span site `name` since the last reset, under whatever
+/// spans enclose them: the per-site count, which needs no event capture.
 fn calls(name: &str) -> u64 {
     qplacer_obs::span_report()
         .iter()

@@ -200,6 +200,7 @@ impl PoissonSolver {
 
         // ψ̂ (in place over the forward coefficients) and the two
         // frequency-weighted field spectra.
+        let scale = qplacer_obs::span!("spectral_scale");
         for v in 0..self.ny {
             for u in 0..self.nx {
                 if u == 0 && v == 0 {
@@ -216,14 +217,20 @@ impl PoissonSolver {
                 field.ey[(u, v)] = coef * self.wv[v];
             }
         }
+        drop(scale);
 
         // ψ = IDCT_x(IDCT_y(ψ̂))
         if want_potential {
+            let _span = qplacer_obs::span!("idct_psi_2d", grid = self.nx as u64);
             self.transform(&mut field.psi, scratch, RowOp::Dct3, RowOp::Dct3);
         }
         // ξx = IDXST along x, IDCT along y.
-        self.transform(&mut field.ex, scratch, RowOp::Idxst, RowOp::Dct3);
+        {
+            let _span = qplacer_obs::span!("idxst_ex_2d", grid = self.nx as u64);
+            self.transform(&mut field.ex, scratch, RowOp::Idxst, RowOp::Dct3);
+        }
         // ξy = IDCT along x, IDXST along y.
+        let _span = qplacer_obs::span!("idxst_ey_2d", grid = self.nx as u64);
         self.transform(&mut field.ey, scratch, RowOp::Dct3, RowOp::Idxst);
     }
 

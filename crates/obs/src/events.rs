@@ -41,10 +41,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default per-thread flight-recorder capacity, in events. At ~40 bytes
-/// per event this is ~160 KiB per thread — roughly the last few
-/// thousand span entries/exits, which at pipeline granularity covers
-/// many complete jobs.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
+/// per event this is ~320 KiB per thread: the last few thousand span
+/// entries and exits, enough for a whole fast Falcon job (~4,400
+/// events) or many small ones.
+pub const DEFAULT_FLIGHT_CAPACITY: usize = 8192;
 
 /// What kind of timeline point an [`Event`] marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

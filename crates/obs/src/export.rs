@@ -1,10 +1,12 @@
-//! Timeline exporters: Chrome Trace Event JSON and collapsed-stack
-//! flamegraph text.
+//! Timeline readers: the call-path span tree `qplacer profile` prints,
+//! Chrome Trace Event JSON and collapsed-stack flamegraph text.
 //!
-//! Both operate on a [`TimelineEvent`] slice (normally from
+//! All operate on a [`TimelineEvent`] slice (normally from
 //! [`event_snapshot`](crate::event_snapshot)) so they can be tested —
 //! including property-tested with hostile names — without touching the
-//! global recorder state.
+//! global recorder state. All read the stream through one per-thread
+//! nesting walk, so they agree on what nests in what: the tree's self
+//! time per call path is the folded weight of that stack.
 //!
 //! The Chrome exporter emits the [Trace Event Format] (`"B"`/`"E"`
 //! duration events, timestamps in microseconds),
@@ -16,14 +18,14 @@
 //! `E` at the last seen timestamp — so begin/end events are always
 //! balanced per thread and every viewer renders the file.
 //!
-//! The folded exporter replays the same begin/end stream into
+//! The folded exporter turns the same walk into
 //! `root;child;leaf self_weight_ns` lines (one per unique stack,
 //! lexicographically sorted), the input format of standard flamegraph
 //! tooling (`flamegraph.pl`, `inferno-flamegraph`, speedscope).
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::events::{EventKind, TimelineEvent};
 
@@ -75,6 +77,116 @@ fn write_chrome_event(
     out.push_str("}}");
 }
 
+/// One call path: a span name under the path of the span open around
+/// it, with the spans the walk closed on that path.
+struct Path<'a> {
+    name: &'a str,
+    /// Index of the enclosing path; always lower than this path's own.
+    parent: Option<usize>,
+    count: u64,
+    total_ns: u64,
+    /// `total_ns` minus the time of the spans closed directly inside.
+    self_ns: u64,
+    /// The last nonzero begin argument.
+    arg: u64,
+}
+
+/// One step of the nesting walk, in stream order.
+enum Step {
+    /// `events[i]` opened a span.
+    Open(usize),
+    /// The span `events[begin]` opened closed at `end_ns`: by
+    /// `events[end]`, or by the end of its thread's stream when `end`
+    /// is `None`.
+    Close {
+        begin: usize,
+        end: Option<usize>,
+        end_ns: u64,
+    },
+}
+
+struct Frame {
+    begin: usize,
+    path: usize,
+    child_ns: u64,
+}
+
+#[derive(Default)]
+struct Thread {
+    open: Vec<Frame>,
+    last_ns: u64,
+}
+
+/// The nesting walk every exporter reads. Replays `events` per thread:
+/// an end with no open begin is dropped (a flight ring can lose the
+/// begin), and a begin still open at the end of the stream is closed at
+/// its thread's last timestamp, innermost first. Calls `visit` for each
+/// step and returns the call paths with their totals, each parent
+/// before its children.
+fn walk<'a>(events: &'a [TimelineEvent], mut visit: impl FnMut(Step)) -> Vec<Path<'a>> {
+    let mut paths: Vec<Path<'a>> = Vec::new();
+    let mut path_ids: HashMap<(Option<usize>, &'a str), usize> = HashMap::new();
+    let mut threads: BTreeMap<u32, Thread> = BTreeMap::new();
+    let close = |paths: &mut Vec<Path<'a>>, open: &mut Vec<Frame>, end, end_ns: u64| {
+        let frame = open.pop()?;
+        let total_ns = end_ns.saturating_sub(events[frame.begin].ts_ns);
+        if let Some(parent) = open.last_mut() {
+            parent.child_ns += total_ns;
+        }
+        let path = &mut paths[frame.path];
+        path.count += 1;
+        path.total_ns += total_ns;
+        path.self_ns += total_ns.saturating_sub(frame.child_ns);
+        Some(Step::Close {
+            begin: frame.begin,
+            end,
+            end_ns,
+        })
+    };
+    for (i, event) in events.iter().enumerate() {
+        let thread = threads.entry(event.tid).or_default();
+        thread.last_ns = thread.last_ns.max(event.ts_ns);
+        match event.kind {
+            EventKind::Begin => {
+                let parent = thread.open.last().map(|frame| frame.path);
+                let path = *path_ids
+                    .entry((parent, event.name.as_str()))
+                    .or_insert_with(|| {
+                        paths.push(Path {
+                            name: &event.name,
+                            parent,
+                            count: 0,
+                            total_ns: 0,
+                            self_ns: 0,
+                            arg: 0,
+                        });
+                        paths.len() - 1
+                    });
+                if event.arg != 0 {
+                    paths[path].arg = event.arg;
+                }
+                thread.open.push(Frame {
+                    begin: i,
+                    path,
+                    child_ns: 0,
+                });
+                visit(Step::Open(i));
+            }
+            EventKind::End => {
+                if let Some(step) = close(&mut paths, &mut thread.open, Some(i), event.ts_ns) {
+                    visit(step);
+                }
+            }
+        }
+    }
+    for thread in threads.values_mut() {
+        while let Some(step) = close(&mut paths, &mut thread.open, None, thread.last_ns) {
+            visit(step);
+        }
+    }
+    paths
+}
+
 /// Renders `events` as a Chrome Trace Event JSON document
 /// (`{"traceEvents":[...],"displayTimeUnit":"ms"}`). Begin/end events
 /// are balanced per thread (see the module docs); the output is valid
@@ -84,80 +196,32 @@ pub fn chrome_trace_json(events: &[TimelineEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 64);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
-    // Per-tid stack of open begins: (index into `events`) so synthetic
-    // closers can reuse the begin's name.
-    let mut open: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    let mut last_ts: BTreeMap<u32, u64> = BTreeMap::new();
-    let emit = |out: &mut String, first: &mut bool| {
-        if *first {
-            *first = false;
-        } else {
+    walk(events, |step| {
+        if !std::mem::take(&mut first) {
             out.push(',');
         }
-    };
-    for (i, event) in events.iter().enumerate() {
-        let stamp = last_ts.entry(event.tid).or_insert(event.ts_ns);
-        *stamp = (*stamp).max(event.ts_ns);
-        match event.kind {
-            EventKind::Begin => {
-                open.entry(event.tid).or_default().push(i);
-                emit(&mut out, &mut first);
+        match step {
+            Step::Open(begin) => {
+                let e = &events[begin];
                 write_chrome_event(
                     &mut out,
-                    &event.name,
+                    &e.name,
                     'B',
-                    event.tid,
-                    event.ts_ns,
-                    event.trace_id,
-                    Some(event.arg),
+                    e.tid,
+                    e.ts_ns,
+                    e.trace_id,
+                    Some(e.arg),
                 );
             }
-            EventKind::End => {
-                // A ring dump can lose the matching begin; dropping the
-                // orphan end keeps the stream balanced.
-                let stack = open.entry(event.tid).or_default();
-                if stack.pop().is_none() {
-                    continue;
-                }
-                emit(&mut out, &mut first);
-                write_chrome_event(
-                    &mut out,
-                    &event.name,
-                    'E',
-                    event.tid,
-                    event.ts_ns,
-                    event.trace_id,
-                    None,
-                );
+            // A synthetic closer reuses its begin's name and trace id.
+            Step::Close { begin, end, end_ns } => {
+                let e = &events[end.unwrap_or(begin)];
+                write_chrome_event(&mut out, &e.name, 'E', e.tid, end_ns, e.trace_id, None);
             }
         }
-    }
-    // Synthetic closers for spans still open when the snapshot was cut
-    // (innermost first, so nesting stays well-formed).
-    for (tid, stack) in &open {
-        let close_ts = last_ts.get(tid).copied().unwrap_or(0);
-        for &begin in stack.iter().rev() {
-            let event = &events[begin];
-            emit(&mut out, &mut first);
-            write_chrome_event(
-                &mut out,
-                &event.name,
-                'E',
-                *tid,
-                close_ts,
-                event.trace_id,
-                None,
-            );
-        }
-    }
+    });
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
-}
-
-struct Frame {
-    path: String,
-    start_ns: u64,
-    child_ns: u64,
 }
 
 /// Renders `events` in the collapsed-stack ("folded") flamegraph
@@ -167,51 +231,23 @@ struct Frame {
 /// the snapshot are closed at the thread's last timestamp.
 #[must_use]
 pub fn folded_stacks(events: &[TimelineEvent]) -> String {
-    let mut stacks: BTreeMap<u32, Vec<Frame>> = BTreeMap::new();
-    let mut last_ts: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
-    let close =
-        |frame: Frame, end_ns: u64, stack: &mut Vec<Frame>, weights: &mut BTreeMap<String, u64>| {
-            let total = end_ns.saturating_sub(frame.start_ns);
-            let own = total.saturating_sub(frame.child_ns);
-            *weights.entry(frame.path).or_insert(0) += own;
-            if let Some(parent) = stack.last_mut() {
-                parent.child_ns += total;
-            }
+    let paths = walk(events, |_| {});
+    let mut stacks: Vec<String> = Vec::with_capacity(paths.len());
+    let mut weights: BTreeMap<&str, u64> = BTreeMap::new();
+    for path in &paths {
+        let frame = folded_frame_name(path.name);
+        let stack = match path.parent {
+            Some(parent) => format!("{};{frame}", stacks[parent]),
+            None => frame,
         };
-    for event in events {
-        let stamp = last_ts.entry(event.tid).or_insert(event.ts_ns);
-        *stamp = (*stamp).max(event.ts_ns);
-        let stack = stacks.entry(event.tid).or_default();
-        match event.kind {
-            EventKind::Begin => {
-                let frame = folded_frame_name(&event.name);
-                let path = match stack.last() {
-                    Some(parent) => format!("{};{}", parent.path, frame),
-                    None => frame,
-                };
-                stack.push(Frame {
-                    path,
-                    start_ns: event.ts_ns,
-                    child_ns: 0,
-                });
-            }
-            EventKind::End => {
-                if let Some(frame) = stack.pop() {
-                    close(frame, event.ts_ns, stack, &mut weights);
-                }
-            }
-        }
+        stacks.push(stack);
     }
-    for (tid, mut stack) in stacks {
-        let end_ns = last_ts.get(&tid).copied().unwrap_or(0);
-        while let Some(frame) = stack.pop() {
-            close(frame, end_ns, &mut stack, &mut weights);
-        }
+    for (path, stack) in paths.iter().zip(&stacks) {
+        *weights.entry(stack).or_insert(0) += path.self_ns;
     }
     let mut out = String::new();
-    for (path, weight) in weights {
-        out.push_str(&format!("{path} {weight}\n"));
+    for (stack, weight) in weights {
+        out.push_str(&format!("{stack} {weight}\n"));
     }
     out
 }
@@ -237,25 +273,85 @@ fn folded_frame_name(name: &str) -> String {
     }
 }
 
-/// Sums, per span name, the begin→end durations in `events` (per
-/// thread, orphan-tolerant like the exporters). Used to cross-check the
-/// timeline against the aggregate span totals.
+/// Sums, per span name, the begin→end durations in `events`, walked
+/// like the exporters (orphan ends dropped, open spans closed at their
+/// thread's last timestamp). Used to cross-check the timeline against
+/// the aggregate span totals.
 #[must_use]
 pub fn duration_totals_ns(events: &[TimelineEvent]) -> BTreeMap<String, u64> {
-    let mut open: BTreeMap<u32, Vec<(String, u64)>> = BTreeMap::new();
     let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-    for event in events {
-        let stack = open.entry(event.tid).or_default();
-        match event.kind {
-            EventKind::Begin => stack.push((event.name.clone(), event.ts_ns)),
-            EventKind::End => {
-                if let Some((name, start)) = stack.pop() {
-                    *totals.entry(name).or_insert(0) += event.ts_ns.saturating_sub(start);
-                }
-            }
-        }
+    for path in walk(events, |_| {}) {
+        *totals.entry(path.name.to_string()).or_insert(0) += path.total_ns;
     }
     totals
+}
+
+/// One call path of a [`span_tree`]: every span entered with the same
+/// chain of enclosing spans, from the thread's outermost down.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanNode {
+    /// Span name as given to `span!`.
+    pub name: String,
+    /// Spans closed on this path.
+    pub count: u64,
+    /// Their total wall time, in nanoseconds.
+    pub total_ns: u64,
+    /// The last nonzero `span!(_, key = value)` attachment on this path.
+    pub value: Option<u64>,
+    /// The paths one span deeper, largest total first.
+    pub children: Vec<SpanNode>,
+}
+
+/// Aggregates `events` into a tree keyed by call path, largest root
+/// first. A site entered under two parents shows under both, each node
+/// with its own count and total, so no child's total exceeds its
+/// parent's. Walked like the exporters: each node's total minus its
+/// children's is its [`folded_stacks`] weight.
+#[must_use]
+pub fn span_tree(events: &[TimelineEvent]) -> Vec<SpanNode> {
+    fn nodes(paths: &[Path<'_>], parent: Option<usize>) -> Vec<SpanNode> {
+        let mut nodes: Vec<SpanNode> = (0..paths.len())
+            .filter(|&i| paths[i].parent == parent)
+            .map(|i| SpanNode {
+                name: paths[i].name.to_string(),
+                count: paths[i].count,
+                total_ns: paths[i].total_ns,
+                value: (paths[i].arg != 0).then_some(paths[i].arg),
+                children: nodes(paths, Some(i)),
+            })
+            .collect();
+        nodes.sort_by_key(|node| std::cmp::Reverse(node.total_ns));
+        nodes
+    }
+    nodes(&walk(events, |_| {}), None)
+}
+
+/// Renders a [`span_tree`] as an indented text table: count, total
+/// milliseconds and percentage of the parent node's total, with the
+/// node's attachment in brackets after its name.
+#[must_use]
+pub fn span_tree_text(roots: &[SpanNode]) -> String {
+    fn render(nodes: &[SpanNode], depth: usize, parent_ns: Option<u64>, out: &mut String) {
+        for node in nodes {
+            let mut label = format!("{:indent$}{}", "", node.name, indent = 2 * depth);
+            if let Some(value) = node.value {
+                label.push_str(&format!(" [{value}]"));
+            }
+            let pct = match parent_ns {
+                Some(p) if p > 0 => format!("{:6.1}%", node.total_ns as f64 / p as f64 * 100.0),
+                _ => "      -".to_string(),
+            };
+            out.push_str(&format!(
+                "{label:<32} {count:>6} {total_ms:>11.3} {pct}\n",
+                count = node.count,
+                total_ms = node.total_ns as f64 / 1e6,
+            ));
+            render(&node.children, depth + 1, Some(node.total_ns), out);
+        }
+    }
+    let mut out = String::from("span                              count    total_ms   %parent\n");
+    render(roots, 0, None, &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 //!
 //! Five pieces:
 //!
-//! - **Spans** ([`span!`], [`span_report`], [`render_span_tree`]) —
-//!   scoped wall-clock timers with thread-local nesting and
-//!   relaxed-atomic aggregation, near-free when disabled (the default)
-//!   and allocation-free when enabled. A guard's
+//! - **Spans** ([`span!`], [`span_report`]) — scoped wall-clock timers
+//!   with relaxed-atomic per-site count and total, near-free when
+//!   disabled (the default) and allocation-free when enabled. A guard's
 //!   [`finish`](SpanGuard::finish) hands back the time it records, so
 //!   every reported duration comes from the span that brackets it.
 //! - **Events** ([`EventMode`], [`event_snapshot`], [`adopt_trace_id`])
@@ -30,10 +29,12 @@
 //!   flowing into a pre-sized [`RingTraceSink`] (zero-alloc) or a
 //!   [`JsonlTraceSink`] file.
 //! - **Export** — Prometheus text for scrapes, JSONL for offline
-//!   analysis, an aggregated span tree for `qplacer profile`, and two
-//!   timeline exporters: Chrome Trace Event JSON
-//!   ([`chrome_trace_json`], loads in Perfetto / `chrome://tracing`)
-//!   and collapsed-stack flamegraph text ([`folded_stacks`]).
+//!   analysis, and three readings of one event timeline, all from one
+//!   per-thread nesting walk: the call-path tree `qplacer profile`
+//!   prints ([`span_tree`], [`span_tree_text`]), Chrome Trace Event
+//!   JSON ([`chrome_trace_json`], loads in Perfetto /
+//!   `chrome://tracing`) and collapsed-stack flamegraph text
+//!   ([`folded_stacks`]). Span nesting is recorded nowhere else.
 //!
 //! Instrumentation records wall time into observability state only —
 //! never into placement results — so the workspace's determinism
@@ -69,7 +70,10 @@ pub use events::{
     flight_capacity, fresh_trace_id, set_event_mode, set_flight_capacity, Event, EventKind,
     EventMode, EventSnapshot, TimelineEvent, TraceScope, DEFAULT_FLIGHT_CAPACITY,
 };
-pub use export::{chrome_trace_json, duration_totals_ns, folded_stacks, write_json_string};
+pub use export::{
+    chrome_trace_json, duration_totals_ns, folded_stacks, span_tree, span_tree_text,
+    write_json_string, SpanNode,
+};
 pub use hist::{
     bucket_bounds_ms, HistogramSnapshot, LatencyHistogram, BUCKET_BOUNDS_MS, HISTOGRAM_BUCKETS,
 };
@@ -78,7 +82,7 @@ pub use registry::{
     write_prometheus_histogram, Counter, Gauge, Registry,
 };
 pub use span::{
-    render_span_tree, reset_spans, set_spans_enabled, span_report, spans_enabled, SpanGuard,
-    SpanSite, SpanStat, MAX_SPAN_DEPTH, MAX_SPAN_SITES,
+    reset_spans, set_spans_enabled, span_report, spans_enabled, SpanGuard, SpanSite, SpanStat,
+    MAX_SPAN_SITES,
 };
 pub use trace::{JsonlTraceSink, NullTraceSink, RingTraceSink, TraceRecord, TraceSink};

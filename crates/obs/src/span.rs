@@ -1,5 +1,4 @@
-//! Scoped wall-clock timers with thread-local nesting and relaxed-atomic
-//! aggregation.
+//! Scoped wall-clock timers with relaxed-atomic per-site aggregation.
 //!
 //! A *span site* is one `span!("name")` expansion: a `static` that lazily
 //! claims a slot in a fixed global table on first entry. Entering a span
@@ -8,9 +7,14 @@
 //! [`SpanGuard::finish`] does the same and also returns that time, so a
 //! caller that reports a scope's duration reads the span's own clock
 //! instead of keeping a second timer. The whole
-//! mechanism is allocation-free: slots live in a fixed `static` array,
-//! the per-thread nesting stack is a const-initialized fixed array, and
-//! site names are `&'static str`.
+//! mechanism is allocation-free: slots live in a fixed `static` array
+//! and site names are `&'static str`.
+//!
+//! A slot knows its site's count and total, not where it was entered
+//! from: nesting lives only in the event timeline each entry and exit
+//! also feeds (see [`events`](crate::events)), and the call-path tree
+//! of `qplacer profile` is read off that timeline
+//! ([`span_tree`](crate::span_tree)).
 //!
 //! Spans are **disabled by default**; [`set_spans_enabled`] flips one
 //! global atomic, and a disabled [`SpanSite::enter`] is one relaxed load
@@ -21,7 +25,6 @@
 //! Timing goes only into observability state, never into placement
 //! results, so the repo's determinism contracts are untouched.
 
-use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -31,12 +34,7 @@ use std::time::{Duration, Instant};
 /// Sites past the limit degrade to no-ops instead of failing.
 pub const MAX_SPAN_SITES: usize = 128;
 
-/// Maximum span nesting depth tracked per thread. Deeper spans still
-/// aggregate time but stop recording parent edges.
-pub const MAX_SPAN_DEPTH: usize = 32;
-
 const NO_SLOT: u32 = u32::MAX;
-const NO_PARENT: u32 = u32::MAX;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -56,11 +54,6 @@ struct Slot {
     name: OnceLock<&'static str>,
     count: AtomicU64,
     total_ns: AtomicU64,
-    /// First-seen parent slot (NO_PARENT for roots), for the profile tree.
-    parent: AtomicU32,
-    /// Most recent `span!("name", key = value)` attachment.
-    last_value: AtomicU64,
-    has_value: AtomicBool,
 }
 
 impl Slot {
@@ -69,26 +62,12 @@ impl Slot {
             name: OnceLock::new(),
             count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
-            parent: AtomicU32::new(NO_PARENT),
-            last_value: AtomicU64::new(0),
-            has_value: AtomicBool::new(false),
         }
     }
 }
 
 static SLOTS: [Slot; MAX_SPAN_SITES] = [const { Slot::new() }; MAX_SPAN_SITES];
 static NEXT_SLOT: AtomicU32 = AtomicU32::new(0);
-
-struct Stack {
-    frames: [u32; MAX_SPAN_DEPTH],
-    depth: usize,
-}
-
-thread_local! {
-    static STACK: RefCell<Stack> = const {
-        RefCell::new(Stack { frames: [0; MAX_SPAN_DEPTH], depth: 0 })
-    };
-}
 
 static REGISTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -153,10 +132,12 @@ impl SpanSite {
     /// drop. While spans are disabled the guard only holds its start
     /// time, for [`SpanGuard::finish`].
     pub fn enter(&self) -> SpanGuard {
-        self.enter_impl(None)
+        self.enter_with(0)
     }
 
-    fn enter_impl(&self, value: Option<u64>) -> SpanGuard {
+    /// Like [`SpanSite::enter`], but also stamps `value` on the entry's
+    /// begin event (the bracketed value of the profile tree).
+    pub fn enter_with(&self, value: u64) -> SpanGuard {
         if !spans_enabled() {
             return SpanGuard::detached();
         }
@@ -164,52 +145,15 @@ impl SpanSite {
         if slot == NO_SLOT {
             return SpanGuard::detached();
         }
-        if let Some(value) = value {
-            SLOTS[slot as usize]
-                .last_value
-                .store(value, Ordering::Relaxed);
-            SLOTS[slot as usize]
-                .has_value
-                .store(true, Ordering::Relaxed);
-        }
-        let pushed = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            if stack.depth > 0 {
-                let parent = stack.frames[stack.depth - 1];
-                if parent != slot {
-                    let _ = SLOTS[slot as usize].parent.compare_exchange(
-                        NO_PARENT,
-                        parent,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
-                }
-            }
-            if stack.depth < MAX_SPAN_DEPTH {
-                let depth = stack.depth;
-                stack.frames[depth] = slot;
-                stack.depth = depth + 1;
-                true
-            } else {
-                false
-            }
-        });
         // Timeline hook: one Begin event when a recording mode is
         // active (a single relaxed load otherwise). The same `span!`
         // sites feed both the aggregate slots and the event timeline.
-        crate::events::record(slot, crate::events::EventKind::Begin, value.unwrap_or(0));
+        crate::events::record(slot, crate::events::EventKind::Begin, value);
         SpanGuard {
             slot,
             start: Instant::now(),
-            pushed,
             _not_send: PhantomData,
         }
-    }
-
-    /// Like [`SpanSite::enter`], but also stamps `value` as the site's
-    /// most recent attachment (shown in the span report).
-    pub fn enter_with(&self, value: u64) -> SpanGuard {
-        self.enter_impl(Some(value))
     }
 }
 
@@ -223,7 +167,6 @@ pub struct SpanGuard {
     /// the time already recorded.
     slot: u32,
     start: Instant,
-    pushed: bool,
     _not_send: PhantomData<*const ()>,
 }
 
@@ -232,7 +175,6 @@ impl SpanGuard {
         SpanGuard {
             slot: NO_SLOT,
             start: Instant::now(),
-            pushed: false,
             _not_send: PhantomData,
         }
     }
@@ -256,12 +198,6 @@ impl SpanGuard {
         slot.total_ns
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         crate::events::record(self.slot, crate::events::EventKind::End, 0);
-        if self.pushed {
-            STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                stack.depth = stack.depth.saturating_sub(1);
-            });
-        }
         self.slot = NO_SLOT;
     }
 }
@@ -288,7 +224,7 @@ impl Drop for SpanGuard {
 /// ```
 ///
 /// The optional `key = value` form stamps `value` (converted to `u64`)
-/// as the site's most recent attachment; the key is documentation only.
+/// on the entry's begin event; the key is documentation only.
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {{
@@ -310,37 +246,26 @@ pub struct SpanStat {
     pub count: u64,
     /// Total wall time across entries, in nanoseconds.
     pub total_ns: u64,
-    /// Index (into the same report vector) of the first-seen enclosing
-    /// span, if any.
-    pub parent: Option<usize>,
-    /// Most recent `key = value` attachment, if any.
-    pub last_value: Option<u64>,
 }
 
 /// Snapshot of every span site entered at least once, in registration
-/// order. `parent` indices refer into the returned vector.
+/// order.
 #[must_use]
 pub fn span_report() -> Vec<SpanStat> {
     let n = (NEXT_SLOT.load(Ordering::Acquire) as usize).min(MAX_SPAN_SITES);
     (0..n)
         .map(|i| {
             let slot = &SLOTS[i];
-            let parent = slot.parent.load(Ordering::Relaxed);
             SpanStat {
                 name: slot.name.get().copied().unwrap_or(""),
                 count: slot.count.load(Ordering::Relaxed),
                 total_ns: slot.total_ns.load(Ordering::Relaxed),
-                parent: (parent != NO_PARENT).then_some(parent as usize),
-                last_value: slot
-                    .has_value
-                    .load(Ordering::Relaxed)
-                    .then(|| slot.last_value.load(Ordering::Relaxed)),
             }
         })
         .collect()
 }
 
-/// Zeroes every site's counters and parent edges (slots stay claimed, so
+/// Zeroes every site's counters (slots stay claimed, so
 /// cached site indices remain valid). Meant for tests and benchmark
 /// setup; concurrent in-flight spans may land counts after the reset.
 pub fn reset_spans() {
@@ -348,59 +273,5 @@ pub fn reset_spans() {
     for slot in SLOTS.iter().take(n) {
         slot.count.store(0, Ordering::Relaxed);
         slot.total_ns.store(0, Ordering::Relaxed);
-        slot.parent.store(NO_PARENT, Ordering::Relaxed);
-        slot.has_value.store(false, Ordering::Relaxed);
-        slot.last_value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Renders the aggregated span tree as an indented text table: count,
-/// total milliseconds, and percentage of the parent span's total.
-#[must_use]
-pub fn render_span_tree() -> String {
-    let stats = span_report();
-    let mut out = String::new();
-    out.push_str("span                              count    total_ms   %parent\n");
-    let mut roots: Vec<usize> = (0..stats.len())
-        .filter(|&i| stats[i].parent.is_none() && stats[i].count > 0)
-        .collect();
-    roots.sort_by(|&a, &b| stats[b].total_ns.cmp(&stats[a].total_ns));
-    for root in roots {
-        render_node(&stats, root, 0, None, &mut out);
-    }
-    out
-}
-
-fn render_node(
-    stats: &[SpanStat],
-    index: usize,
-    depth: usize,
-    parent_total_ns: Option<u64>,
-    out: &mut String,
-) {
-    let stat = &stats[index];
-    let mut label = String::new();
-    for _ in 0..depth {
-        label.push_str("  ");
-    }
-    label.push_str(stat.name);
-    if let Some(value) = stat.last_value {
-        label.push_str(&format!(" [{value}]"));
-    }
-    let pct = match parent_total_ns {
-        Some(p) if p > 0 => format!("{:6.1}%", stat.total_ns as f64 / p as f64 * 100.0),
-        _ => "      -".to_string(),
-    };
-    out.push_str(&format!(
-        "{label:<32} {count:>6} {total_ms:>11.3} {pct}\n",
-        count = stat.count,
-        total_ms = stat.total_ns as f64 / 1e6,
-    ));
-    let mut children: Vec<usize> = (0..stats.len())
-        .filter(|&i| stats[i].parent == Some(index) && stats[i].count > 0)
-        .collect();
-    children.sort_by(|&a, &b| stats[b].total_ns.cmp(&stats[a].total_ns));
-    for child in children {
-        render_node(stats, child, depth + 1, Some(stat.total_ns), out);
     }
 }

@@ -1,6 +1,9 @@
 //! Span nesting, panic unwinding, and report-shape tests. Kept in one
 //! integration binary (and run on one process-global table), so each
 //! test uses distinct span names and asserts only on its own sites.
+//! Nesting is read off the captured event timeline as a tree keyed by
+//! call path ([`obs::span_tree`]); per-site counts and totals off
+//! [`obs::span_report`].
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -20,10 +23,33 @@ fn stat(name: &str) -> Option<obs::SpanStat> {
     obs::span_report().into_iter().find(|s| s.name == name)
 }
 
-#[test]
-fn nesting_records_parent_edges_and_totals() {
-    let _serial = serial();
+/// Enables spans and starts a fresh event capture.
+fn capture() {
     obs::set_spans_enabled(true);
+    obs::set_event_mode(obs::EventMode::Capture);
+    obs::clear_events();
+}
+
+/// The call-path tree of everything captured since [`capture`].
+fn tree() -> Vec<obs::SpanNode> {
+    obs::span_tree(&obs::event_snapshot().events)
+}
+
+/// The node at call path `path` (outermost name first), if any.
+fn node<'a>(roots: &'a [obs::SpanNode], path: &[&str]) -> Option<&'a obs::SpanNode> {
+    let (first, rest) = path.split_first()?;
+    let found = roots.iter().find(|n| n.name == *first)?;
+    if rest.is_empty() {
+        Some(found)
+    } else {
+        node(&found.children, rest)
+    }
+}
+
+#[test]
+fn nesting_builds_path_keyed_nodes_and_totals() {
+    let _serial = serial();
+    capture();
     for _ in 0..3 {
         let _outer = obs::span!("nest_outer");
         std::thread::sleep(std::time::Duration::from_millis(2));
@@ -32,33 +58,58 @@ fn nesting_records_parent_edges_and_totals() {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
-    let report = obs::span_report();
-    let outer_idx = report
-        .iter()
-        .position(|s| s.name == "nest_outer")
-        .expect("outer span registered");
-    let inner = stat("nest_inner").expect("inner span registered");
+    let roots = tree();
+    let outer = node(&roots, &["nest_outer"]).expect("outer is a root");
+    let inner = node(&roots, &["nest_outer", "nest_inner"]).expect("inner under outer");
     assert_eq!(inner.count, 3);
-    assert_eq!(inner.parent, Some(outer_idx), "parent edge recorded");
-    assert_eq!(inner.last_value, Some(64));
-    let outer = &report[outer_idx];
+    assert_eq!(inner.value, Some(64));
     assert_eq!(outer.count, 3);
-    assert!(outer.parent.is_none());
+    assert_eq!(outer.value, None);
+    assert!(node(&roots, &["nest_inner"]).is_none(), "inner is no root");
     assert!(
         outer.total_ns >= inner.total_ns,
         "outer encloses inner: {} < {}",
         outer.total_ns,
         inner.total_ns
     );
-    let tree = obs::render_span_tree();
-    assert!(tree.contains("nest_outer"));
-    assert!(tree.contains("nest_inner"));
+    let text = obs::span_tree_text(&roots);
+    assert!(text.contains("\nnest_outer "), "{text}");
+    assert!(text.contains("\n  nest_inner [64] "), "{text}");
+}
+
+#[test]
+fn a_site_under_two_parents_shows_under_both() {
+    let _serial = serial();
+    capture();
+    fn shared() {
+        let _span = obs::span!("two_parent_child");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    for _ in 0..2 {
+        let _a = obs::span!("two_parent_a");
+        shared();
+    }
+    for _ in 0..3 {
+        let _b = obs::span!("two_parent_b");
+        shared();
+    }
+    let roots = tree();
+    for (parent, count) in [("two_parent_a", 2), ("two_parent_b", 3)] {
+        let up = node(&roots, &[parent]).expect("parent is a root");
+        let child = node(&roots, &[parent, "two_parent_child"]).expect("child under each parent");
+        assert_eq!(child.count, count, "under {parent}");
+        assert!(child.total_ns <= up.total_ns, "under {parent}");
+    }
+    assert!(node(&roots, &["two_parent_child"]).is_none());
+    assert_eq!(stat("two_parent_child").unwrap().count, 5);
+    let text = obs::span_tree_text(&roots);
+    assert_eq!(text.matches("  two_parent_child ").count(), 2, "{text}");
 }
 
 #[test]
 fn panic_unwinding_closes_spans() {
     let _serial = serial();
-    obs::set_spans_enabled(true);
+    capture();
     let result = std::panic::catch_unwind(|| {
         let _span = obs::span!("panicking_span");
         panic!("boom");
@@ -66,13 +117,18 @@ fn panic_unwinding_closes_spans() {
     assert!(result.is_err());
     let s = stat("panicking_span").expect("span registered despite panic");
     assert_eq!(s.count, 1, "guard drop during unwind recorded the span");
-    // The thread-local stack unwound too: a fresh root span on this
-    // thread must not see "panicking_span" as its parent.
+    // The unwind recorded the end event too: a fresh span on this
+    // thread is a root, not a child of "panicking_span".
     {
         let _root = obs::span!("post_panic_root");
     }
-    let root = stat("post_panic_root").unwrap();
-    assert!(root.parent.is_none(), "stack popped during unwinding");
+    let roots = tree();
+    assert_eq!(node(&roots, &["panicking_span"]).unwrap().count, 1);
+    assert!(
+        node(&roots, &["post_panic_root"]).is_some(),
+        "span closed during unwinding"
+    );
+    assert!(node(&roots, &["panicking_span", "post_panic_root"]).is_none());
 }
 
 #[test]
@@ -98,7 +154,7 @@ fn disabled_spans_record_nothing() {
 #[test]
 fn recursive_spans_aggregate_on_one_site() {
     let _serial = serial();
-    obs::set_spans_enabled(true);
+    capture();
     fn recurse(depth: usize) {
         let _span = obs::span!("recursive_span");
         if depth > 0 {
@@ -106,9 +162,21 @@ fn recursive_spans_aggregate_on_one_site() {
         }
     }
     recurse(4);
-    let s = stat("recursive_span").unwrap();
-    assert_eq!(s.count, 5);
-    assert!(s.parent.is_none(), "self-nesting records no parent edge");
+    assert_eq!(stat("recursive_span").unwrap().count, 5);
+    // One node per depth, each entered once.
+    let roots = tree();
+    let mut path = Vec::new();
+    for _ in 0..5 {
+        path.push("recursive_span");
+        assert_eq!(
+            node(&roots, &path).unwrap().count,
+            1,
+            "depth {}",
+            path.len()
+        );
+    }
+    path.push("recursive_span");
+    assert!(node(&roots, &path).is_none());
 }
 
 #[test]
@@ -171,26 +239,27 @@ fn disabled_finish_still_times_the_scope() {
 #[test]
 fn finish_then_drop_counts_once() {
     let _serial = serial();
-    obs::set_spans_enabled(true);
+    capture();
     {
         let _outer = obs::span!("finish_outer");
         let inner = obs::span!("finish_inner");
         let _ = inner.finish();
-        // Had the finished guard popped the nesting stack a second time
-        // on drop, this sibling would lose its parent edge.
+        // Had the finished guard recorded a second end event on drop,
+        // it would close the outer span and this sibling would be a root.
         let _sibling = obs::span!("finish_sibling");
     }
     {
         let _root = obs::span!("finish_root");
     }
-    let report = obs::span_report();
-    let outer = report
-        .iter()
-        .position(|s| s.name == "finish_outer")
-        .expect("outer registered");
-    let inner = stat("finish_inner").unwrap();
-    assert_eq!(inner.count, 1, "finish and drop recorded one entry");
-    assert_eq!(inner.parent, Some(outer));
-    assert_eq!(stat("finish_sibling").unwrap().parent, Some(outer));
-    assert!(stat("finish_root").unwrap().parent.is_none());
+    assert_eq!(
+        stat("finish_inner").unwrap().count,
+        1,
+        "finish and drop recorded one entry"
+    );
+    let roots = tree();
+    let inner = node(&roots, &["finish_outer", "finish_inner"]).expect("inner under outer");
+    assert_eq!(inner.count, 1);
+    assert!(node(&roots, &["finish_outer", "finish_sibling"]).is_some());
+    assert!(node(&roots, &["finish_sibling"]).is_none());
+    assert!(node(&roots, &["finish_root"]).is_some());
 }

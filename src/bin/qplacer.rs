@@ -775,12 +775,12 @@ fn cmd_replace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs one placement with span timing enabled and prints the
-/// aggregated span tree (count, total wall time, share of the parent
-/// span) — the quick "where does the time go" view. With `--chrome` /
-/// `--folded`, additionally captures the event timeline and writes it
-/// as Chrome Trace Event JSON / collapsed flamegraph stacks — the same
-/// spans, event by event instead of aggregated.
+/// Runs one placement with span timing and event capture enabled and
+/// prints the span tree keyed by call path (count, total wall time,
+/// share of the parent node), read off the captured timeline — the
+/// quick "where does the time go" view. `--chrome` / `--folded`
+/// additionally write that timeline as Chrome Trace Event JSON /
+/// collapsed flamegraph stacks.
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("profile needs a topology")?;
     let device = parse_topology(name)?;
@@ -796,15 +796,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     if let Some(levels) = levels_flag(args)? {
         config.placer.levels = levels;
     }
-    let chrome = flag_value(args, "--chrome");
-    let folded = flag_value(args, "--folded");
-    let capture_events = chrome.is_some() || folded.is_some();
     qplacer::obs::set_spans_enabled(true);
-    qplacer::obs::reset_spans();
-    if capture_events {
-        qplacer::obs::set_event_mode(qplacer::obs::EventMode::Capture);
-        qplacer::obs::clear_events();
-    }
+    qplacer::obs::set_event_mode(qplacer::obs::EventMode::Capture);
+    qplacer::obs::clear_events();
     let engine = Qplacer::new(config);
     let mut ws = PipelineWorkspace::new();
     let _scope = qplacer::adopt_trace_id(qplacer::fresh_trace_id());
@@ -823,20 +817,21 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         layout.netlist.num_instances(),
         (layout.timings.assign_ms + layout.timings.place_ms + layout.timings.legalize_ms) / 1e3,
     );
-    print!("{}", qplacer::render_span_tree());
-    if capture_events {
-        let snapshot = qplacer::event_snapshot();
-        qplacer::obs::set_event_mode(qplacer::obs::EventMode::Off);
-        if let Some(path) = chrome {
-            std::fs::write(path, qplacer::chrome_trace_json(&snapshot.events))
-                .map_err(|e| format!("write {path}: {e}"))?;
-            println!("wrote {path} ({} events)", snapshot.events.len());
-        }
-        if let Some(path) = folded {
-            std::fs::write(path, qplacer::folded_stacks(&snapshot.events))
-                .map_err(|e| format!("write {path}: {e}"))?;
-            println!("wrote {path}");
-        }
+    let snapshot = qplacer::event_snapshot();
+    qplacer::obs::set_event_mode(qplacer::obs::EventMode::Off);
+    print!(
+        "{}",
+        qplacer::span_tree_text(&qplacer::span_tree(&snapshot.events))
+    );
+    if let Some(path) = flag_value(args, "--chrome") {
+        std::fs::write(path, qplacer::chrome_trace_json(&snapshot.events))
+            .map_err(|e| format!("write {path}: {e}"))?;
+        println!("wrote {path} ({} events)", snapshot.events.len());
+    }
+    if let Some(path) = flag_value(args, "--folded") {
+        std::fs::write(path, qplacer::folded_stacks(&snapshot.events))
+            .map_err(|e| format!("write {path}: {e}"))?;
+        println!("wrote {path}");
     }
     // How often the spectral solver fell back to the O(n²) naive DCT:
     // nonzero means some bin-grid length dodged every fast path.

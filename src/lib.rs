@@ -96,10 +96,10 @@ pub use qplacer_metrics::{
 pub use qplacer_netlist::{CouplingKind, NetlistConfig, QuantumNetlist};
 pub use qplacer_obs::{
     adopt_trace_id, chrome_trace_json, clear_events, current_trace_id, duration_totals_ns,
-    event_mode, event_snapshot, folded_stacks, fresh_trace_id, render_prometheus, render_span_tree,
-    set_event_mode, set_flight_capacity, EventKind, EventMode, EventSnapshot, JsonlTraceSink,
-    LatencyHistogram, NullTraceSink, Registry, RingTraceSink, TimelineEvent, TraceRecord,
-    TraceScope, TraceSink,
+    event_mode, event_snapshot, folded_stacks, fresh_trace_id, render_prometheus, set_event_mode,
+    set_flight_capacity, span_tree, span_tree_text, EventKind, EventMode, EventSnapshot,
+    JsonlTraceSink, LatencyHistogram, NullTraceSink, Registry, RingTraceSink, SpanNode,
+    TimelineEvent, TraceRecord, TraceScope, TraceSink,
 };
 pub use qplacer_place::{GlobalPlacer, PlacementReport, PlacerConfig};
 pub use qplacer_service::{
